@@ -257,8 +257,8 @@ class ReplaySession:
 
         data_dir = self.package.root / pkg.DATA_DIR
         for path in sorted(data_dir.glob("*.tbl")):
-            table = HeapTable.deserialize(path.read_text())
-            database.catalog._tables[table.name] = table
+            table = database.catalog.install_table(
+                HeapTable.deserialize(path.read_text()))
             self.restored_tuples += table.row_count
 
     def _prepare_server_excluded(self, vos: VirtualOS) -> None:

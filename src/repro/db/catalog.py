@@ -1,8 +1,17 @@
-"""Schema catalog: the set of tables known to a database instance."""
+"""Schema catalog: the set of tables known to a database instance.
+
+It also decides when cached state is stale: each managed table carries
+a :class:`TableVersion` (``data``, ``schema``, ``stats``,
+``partition``) drawn from one catalog-wide :class:`VersionClock`.
+``data`` moves in the heap's single mutation hook; the others only on
+this module's DDL, statistics and partition paths. Caches record the
+fields they depend on and serve an entry only while those still match;
+as the clock never rewinds, a recreated table never repeats a version.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.db.mvcc import MVCCState
 from repro.db.scancache import ScanCache
@@ -12,46 +21,66 @@ from repro.db.types import Schema
 from repro.errors import CatalogError
 
 
+class VersionClock:
+    """The catalog-wide version source; ``now`` is the last version
+    handed out, so it moves on every change to any table."""
+
+    __slots__ = ("now",)
+
+    def __init__(self) -> None:
+        self.now = 0
+
+    def next(self) -> int:
+        self.now += 1
+        return self.now
+
+
+class TableVersion:
+    """One table's version record. A new record takes a fresh clock
+    value in every field, so a (re)installed table matches nothing
+    cached before it."""
+
+    __slots__ = ("clock", "data", "schema", "stats", "partition")
+
+    def __init__(self, clock: VersionClock) -> None:
+        self.clock = clock
+        self.data = self.schema = self.stats = self.partition = clock.next()
+
+
 class Catalog:
     """Name → table mapping with optional data-directory backing.
 
-    ``version`` is a monotonic counter bumped on every schema change
-    (table and index DDL). Plan-cache keys include it, so any cached
-    plan built against an older schema becomes unreachable the moment
-    the schema changes. ``stats_version`` plays the same role for
-    ANALYZE statistics: it bumps whenever planner statistics change,
-    so plans costed against stale statistics age out of the cache.
-
-    The catalog also owns the database-wide :class:`MVCCState` and
-    wires it into every table it manages, so scans anywhere in the
-    engine observe the ambient read view (see :mod:`repro.db.mvcc`).
+    The catalog owns the database-wide :class:`MVCCState`, the columnar
+    :class:`ScanCache` and the :class:`VersionClock`, and wires all
+    three into every table it manages (:meth:`install_table`).
     """
 
     def __init__(self, data_directory: DataDirectory | None = None) -> None:
         self._tables: dict[str, HeapTable] = {}
         self.data_directory = data_directory
-        self.version = 0
+        self.clock = VersionClock()
         self.mvcc = MVCCState()
-        # the columnar scan cache is shared across tables like the
-        # MVCC state, and keyed by its commit watermarks; watermark
-        # moves strand segments eagerly via the write listener
         self.scan_cache = ScanCache()
-        self.mvcc.write_listeners.append(self.scan_cache.invalidate_table)
         # ANALYZE statistics, table name → TableStats (advisory: the
         # planner falls back to rote heuristics for absent entries)
         self.stats: dict[str, TableStats] = {}
-        self.stats_version = 0
         if data_directory is not None:
             for name in data_directory.table_names():
-                table = data_directory.load_table(name)
-                table.mvcc = self.mvcc
-                table.scan_cache = self.scan_cache
-                self._tables[name] = table
+                self.install_table(data_directory.load_table(name))
 
-    def bump_version(self) -> None:
-        """Record a schema change (called for index DDL, which goes
-        through the table object rather than the catalog)."""
-        self.version += 1
+    def install_table(self, table: HeapTable) -> HeapTable:
+        """Make a heap a managed table (new tables, data-directory
+        loads, PTU restore), replacing any table of the same name along
+        with its statistics."""
+        table.mvcc = self.mvcc
+        table.scan_cache = self.scan_cache
+        table.version_record = TableVersion(self.clock)
+        self._tables[table.name] = table
+        self.stats.pop(table.name, None)
+        return table
+
+    def _bump(self, table: HeapTable, field: str) -> None:
+        setattr(table.version_record, field, self.clock.next())
 
     def create_table(self, name: str, schema: Schema,
                      if_not_exists: bool = False) -> HeapTable:
@@ -60,12 +89,7 @@ class Catalog:
             if if_not_exists:
                 return self._tables[key]
             raise CatalogError(f"table {name!r} already exists")
-        table = HeapTable(key, schema)
-        table.mvcc = self.mvcc
-        table.scan_cache = self.scan_cache
-        self._tables[key] = table
-        self.version += 1
-        return table
+        return self.install_table(HeapTable(key, schema))
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
         key = name.lower()
@@ -74,15 +98,21 @@ class Catalog:
                 return
             raise CatalogError(f"table {name!r} does not exist")
         del self._tables[key]
-        self.scan_cache.invalidate_table(key)
-        self.version += 1
-        if key in self.stats:
-            del self.stats[key]
-            self.stats_version += 1
+        self.stats.pop(key, None)
         # disk removal is deferred to flush()/sync_drops(): destroying
         # durable state belongs to the checkpoint, after the DROP has
         # been committed to the WAL — an uncommitted DROP must be
         # recoverable
+
+    def stamp(self, names: Iterable[str],
+              fields: Callable[[TableVersion], tuple]) -> tuple:
+        """The current ``fields`` (an ``attrgetter`` over
+        :class:`TableVersion`) of each named table, ``None`` for a
+        missing one: what a cache records and later compares."""
+        tables = self._tables
+        return tuple(None if (table := tables.get(name)) is None
+                     else fields(table.version_record)
+                     for name in names)
 
     def get_table(self, name: str) -> HeapTable:
         table = self._tables.get(name.lower())
@@ -99,10 +129,11 @@ class Catalog:
     # -- planner statistics ------------------------------------------------------
 
     def set_stats(self, name: str, stats: TableStats) -> None:
-        """Install ANALYZE statistics for a table and age out every
-        plan costed against the previous statistics."""
-        self.stats[name.lower()] = stats
-        self.stats_version += 1
+        """Install ANALYZE statistics for a table; plans costed against
+        the previous statistics stop matching its ``stats`` version."""
+        table = self.get_table(name)
+        self.stats[table.name] = stats
+        self._bump(table, "stats")
 
     def stats_for(self, name: str) -> TableStats | None:
         return self.stats.get(name.lower())
@@ -117,11 +148,34 @@ class Catalog:
         tables the catalog no longer knows are dropped)."""
         for name, entry in dumped.items():
             if name.lower() in self._tables:
-                self.stats[name.lower()] = TableStats.from_dict(entry)
-        if dumped:
-            self.stats_version += 1
+                self.set_stats(name, TableStats.from_dict(entry))
 
-    # -- hash partitioning -------------------------------------------------------
+    # -- indexes and hash partitioning -------------------------------------------
+
+    def create_index(self, table_name: str, index_name: str, column: str,
+                     if_not_exists: bool = False):
+        table = self.get_table(table_name)
+        index = table.create_index(index_name, column, if_not_exists)
+        self._bump(table, "schema")
+        return index
+
+    def drop_index(self, index_name: str) -> HeapTable:
+        """Drop a (globally unique) index; returns the table it was on."""
+        table = self.table_of_index(index_name)
+        table.drop_index(index_name)
+        self._bump(table, "schema")
+        return table
+
+    def set_partitioning(self, name: str, column: str | None,
+                         count: int = 0) -> HeapTable:
+        """Declare (or, with ``column=None``, clear) hash partitioning."""
+        table = self.get_table(name)
+        if column is None:
+            table.clear_partitioning()
+        else:
+            table.set_partitioning(column, count)
+        self._bump(table, "partition")
+        return table
 
     def dump_partitions(self) -> dict[str, dict]:
         """JSON-ready snapshot of partition specs (checkpoint meta).
@@ -140,8 +194,8 @@ class Catalog:
         catalog no longer knows are dropped)."""
         for name, entry in dumped.items():
             if name.lower() in self._tables:
-                self._tables[name.lower()].set_partitioning(
-                    entry["column"], int(entry["count"]))
+                self.set_partitioning(name, entry["column"],
+                                      int(entry["count"]))
 
     def table_of_index(self, index_name: str) -> HeapTable:
         """Find the table holding a (globally unique) index name."""

@@ -45,6 +45,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -124,22 +125,23 @@ class StatementResult:
         return self.schema.column_names()
 
 
+# data writes never reshape a plan, so "data" is deliberately absent
+_PLAN_INPUTS = attrgetter("schema", "stats", "partition")
+
+
 class PlanCache:
     """LRU cache of planned SELECT operator trees.
 
-    Keyed by ``(normalized SQL text, provenance flag, catalog
-    version, stats version, parallel worker setting)``. Including the
-    catalog version makes every cached plan built against an older
-    schema unreachable the moment any DDL runs — DDL handlers
-    additionally :meth:`clear` the cache so stale entries do not
-    linger until LRU eviction. The stats version does the same for the
-    cost model: ANALYZE bumps it, so plans costed against superseded
-    statistics are re-planned on the next execution instead of being
-    served forever. The worker setting is part of the key because a
-    plan is *shaped* by it: a plan costed (and built) under one worker
-    must never be served once :meth:`Database.set_parallel_workers`
-    changes the setting — the serial plan has no Gather operators and
-    would silently ignore the new parallelism (and vice versa).
+    Keyed by ``(normalized SQL text, provenance flag, parallel worker
+    setting)``. Each entry also records the ``schema``, ``stats`` and
+    ``partition`` versions of its plan's source tables (see
+    :mod:`repro.db.catalog`) and is served only while they still
+    match, so DDL, ANALYZE, repartitioning and drop-and-recreate
+    replan on the next execution. The worker setting is part of the key because a
+    plan is *shaped* by it: a plan built under one worker count must
+    never be served once :meth:`Database.set_parallel_workers` changes
+    it — the serial plan has no Gather operators and would silently
+    ignore the new parallelism (and vice versa).
 
     Only plain SELECT statements without subqueries are cacheable:
     subquery expansion inlines executed results into the AST, which
@@ -163,7 +165,7 @@ class PlanCache:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
-        self._entries: OrderedDict[tuple, PlannedQuery] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._lock = threading.Lock()
 
     @staticmethod
@@ -177,19 +179,30 @@ class PlanCache:
             return sql.strip()
         return " ".join(sql.split())
 
-    def get(self, key: tuple) -> Optional[PlannedQuery]:
+    @staticmethod
+    def _stamp(planned: Any, catalog: Optional[Catalog]) -> Optional[tuple]:
+        return (None if catalog is None
+                else catalog.stamp(planned.source_tables, _PLAN_INPUTS))
+
+    def get(self, key: tuple,
+            catalog: Optional[Catalog] = None) -> Optional[PlannedQuery]:
         with self._lock:
-            planned = self._entries.get(key)
-            if planned is None:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            planned, stamp = entry
+            if self._stamp(planned, catalog) != stamp:
+                del self._entries[key]
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
             return planned
 
-    def put(self, key: tuple, planned: PlannedQuery) -> None:
+    def put(self, key: tuple, planned: Any,
+            catalog: Optional[Catalog] = None) -> None:
         with self._lock:
             self.misses += 1
-            self._entries[key] = planned
+            self._entries[key] = (planned, self._stamp(planned, catalog))
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -449,12 +462,9 @@ class Database:
         self.parallel_min_rows = parmod.DEFAULT_MIN_ROWS
         # the resident worker pool (PersistentForkPool) when workers>1
         # and no explicit pool factory was injected; torn down on
-        # close/drain and recycled whenever engine state moves
+        # close/drain and recycled whenever the catalog's version
+        # clock moves
         self.parallel_pool: Optional[parmod.PersistentForkPool] = None
-        # bumped on every set_table_partitioning call; part of the
-        # plan-cache key so a co-partitioned join plan can never be
-        # served after the specs it was planned against changed
-        self.partition_epoch = 0
         # MVCC state lives on the catalog so tables can consult it;
         # sessions are handed out here (one per server connection, plus
         # the default one used by the embedded single-connection API)
@@ -498,13 +508,6 @@ class Database:
             self.catalog.load_partitions(meta.get("partitions", {}))
             self._replay_recovered(self.last_recovery)
             self._restore_clock(directory, self.last_recovery)
-            # recovery may have replayed DDL; plans cached before it
-            # (none today — the cache is born empty — but guard the
-            # invariant against future pre-warm refactors)
-            self.plan_cache.clear()
-            # same invariant for scan segments: a recovered engine must
-            # never serve a pre-crash cache image
-            self.catalog.scan_cache.invalidate_all()
         # file access hooks so a virtual OS can interpose COPY I/O
         self.read_file: Callable[[str], str] = (
             lambda path: Path(path).read_text())
@@ -545,12 +548,11 @@ class Database:
         elif operation == "drop_table":
             self.catalog.drop_table(record["table"], if_exists=True)
         elif operation == "create_index":
-            self.catalog.get_table(record["table"]).create_index(
-                record["name"], record["column"], if_not_exists=True)
+            self.catalog.create_index(record["table"], record["name"],
+                                      record["column"], if_not_exists=True)
         elif operation == "drop_index":
             if self.catalog.has_index(record["name"]):
-                self.catalog.table_of_index(record["name"]).drop_index(
-                    record["name"])
+                self.catalog.drop_index(record["name"])
         elif operation == "analyze":
             if self.catalog.has_table(record["table"]):
                 self.catalog.set_stats(
@@ -558,12 +560,9 @@ class Database:
                     TableStats.from_dict(record["stats"]))
         elif operation == "partition":
             if self.catalog.has_table(record["table"]):
-                table = self.catalog.get_table(record["table"])
-                if record.get("column") is None:
-                    table.clear_partitioning()
-                else:
-                    table.set_partitioning(record["column"],
-                                           int(record["count"]))
+                self.catalog.set_partitioning(
+                    record["table"], record.get("column"),
+                    int(record.get("count", 0)))
         elif operation == "ledger":
             self.dedupe_ledger.record(
                 record["token"], record["result"],
@@ -766,9 +765,8 @@ class Database:
             if replayed is not None:
                 return replayed
         key = (PlanCache.normalize(sql), bool(provenance),
-               self.catalog.version, self.catalog.stats_version,
-               self.partition_epoch, self.parallel_workers)
-        planned = self.plan_cache.get(key)
+               self.parallel_workers)
+        planned = self.plan_cache.get(key, self.catalog)
         if planned is not None:
             with self._read_view(session):
                 result = self._run_planned_select(planned)
@@ -792,7 +790,7 @@ class Database:
                 # overlay-costed plans stay private to the planning
                 # statement; only snapshot-free plans enter the shared
                 # cache
-                self.plan_cache.put(key, planned)
+                self.plan_cache.put(key, planned, self.catalog)
             result.cacheable = True
             return result
         return self.execute_statement(statement, provenance, session,
@@ -830,16 +828,14 @@ class Database:
         transaction's overlay (``session`` given and in a transaction)
         are used but not cached."""
         key = (prepared.normalized_sql or PlanCache.normalize(prepared.sql),
-               bool(provenance), self.catalog.version,
-               self.catalog.stats_version, self.partition_epoch,
-               self.parallel_workers)
-        planned = self.plan_cache.get(key)
+               bool(provenance), self.parallel_workers)
+        planned = self.plan_cache.get(key, self.catalog)
         if planned is None:
             track = provenance or prepared.statement.provenance
             planned = plan_select(prepared.statement, self.catalog, track,
                                   parallel=self._parallel_context())
             if session is None or session.txn is None:
-                self.plan_cache.put(key, planned)
+                self.plan_cache.put(key, planned, self.catalog)
         return planned
 
     def execute_prepared(self, prepared: PreparedStatement,
@@ -1153,8 +1149,10 @@ class Database:
         (default :data:`repro.db.parallel.DEFAULT_MIN_ROWS`).
         ``pool_factory`` overrides how worker pools are obtained — the
         test suites inject :class:`repro.db.parallel.InProcessPool`
-        for deterministic, coverage-visible execution; production uses
-        forked processes (:class:`repro.db.parallel.ForkPool`).
+        for deterministic, coverage-visible execution; without one the
+        engine keeps a resident
+        :class:`repro.db.parallel.PersistentForkPool` of ``workers``
+        forked processes.
 
         The worker count is part of the plan-cache key, so plans built
         under the old setting become unreachable instead of being
@@ -1171,8 +1169,9 @@ class Database:
         if workers > 1 and pool_factory is None:
             # one resident pool per setting: workers spawn lazily at
             # the first parallel dispatch and are reused across
-            # statements until DDL/checkpoint/repartition recycles
-            # them or close()/drain tears the pool down
+            # statements until the catalog's version clock moves or a
+            # checkpoint recycles them, or close()/drain tears the
+            # pool down
             self.parallel_pool = parmod.PersistentForkPool(
                 workers, engine=self)
 
@@ -1221,24 +1220,11 @@ class Database:
         if self.mvcc.has_active():
             raise TransactionError(
                 "cannot change partitioning during an open transaction")
-        table = self.catalog.get_table(table_name)
-        if column is None:
-            table.clear_partitioning()
-            record = {"op": "partition", "table": table.name,
-                      "column": None, "count": 0}
-        else:
-            table.set_partitioning(column, count)
-            spec = table.partition_spec
-            record = {"op": "partition", "table": table.name,
-                      "column": spec.column, "count": spec.count}
-        # the partition epoch invalidates cached plans (a cached
-        # co-partitioned join must not outlive the specs it was
-        # planned against) and re-syncs resident pool workers
-        self.partition_epoch += 1
-        # partition-scan segments are keyed per rowid list; repartition
-        # changes every list, so drop them rather than let signature
-        # validation discover it one miss at a time
-        self.scan_cache.invalidate_table(table.name)
+        table = self.catalog.set_partitioning(table_name, column, count)
+        spec = table.partition_spec
+        record = {"op": "partition", "table": table.name,
+                  "column": spec.column if spec else None,
+                  "count": spec.count if spec else 0}
         self._log_ddl(record)
         self._commit_wal_batch()
 
@@ -1572,7 +1558,6 @@ class Database:
         table = self.catalog.create_table(
             create.table, Schema(columns), create.if_not_exists)
         if not existed:
-            self.plan_cache.clear()
             self._touched_tables.add(table.name)
             self._log_ddl({"op": "create_table", "table": table.name,
                            "columns": schema_to_wire(table.schema)})
@@ -1582,7 +1567,6 @@ class Database:
         existed = self.catalog.has_table(drop.table)
         self.catalog.drop_table(drop.table, drop.if_exists)
         if existed:
-            self.plan_cache.clear()
             key = drop.table.lower()
             self._dropped_tables.add(key)
             self._touched_tables.discard(key)
@@ -1595,14 +1579,10 @@ class Database:
             if create.if_not_exists:
                 return StatementResult(kind="create")
             raise CatalogError(f"index {create.name!r} already exists")
+        index = self.catalog.create_index(create.table, create.name,
+                                          create.column,
+                                          create.if_not_exists)
         table = self.catalog.get_table(create.table)
-        index = table.create_index(create.name, create.column,
-                                   create.if_not_exists)
-        self.catalog.bump_version()
-        self.plan_cache.clear()
-        # index DDL changes the cost landscape: drop cached segments so
-        # the planner's cached-scan discount restarts from a cold cache
-        self.scan_cache.invalidate_table(table.name)
         self._touched_tables.add(table.name)
         self._log_ddl({"op": "create_index", "table": table.name,
                        "name": index.name, "column": index.column})
@@ -1614,11 +1594,7 @@ class Database:
             if drop.if_exists:
                 return StatementResult(kind="drop")
             raise CatalogError(f"index {drop.name!r} does not exist")
-        table = self.catalog.table_of_index(drop.name)
-        table.drop_index(drop.name)
-        self.catalog.bump_version()
-        self.plan_cache.clear()
-        self.scan_cache.invalidate_table(table.name)
+        table = self.catalog.drop_index(drop.name)
         self._touched_tables.add(table.name)
         self._log_ddl({"op": "drop_index", "name": drop.name.lower()})
         return StatementResult(kind="drop", source_tables=[table.name])
@@ -1628,9 +1604,8 @@ class Database:
 
         Runs like DDL: autocommit only, scanning the committed heap.
         The new statistics are WAL-logged (an ``"analyze"`` record per
-        table) so they survive a crash, and the stats-version bump
-        ages every cached plan out of the plan cache; the explicit
-        clear below just reclaims the memory immediately.
+        table) so they survive a crash, and installing them moves each
+        table's ``stats`` version, so cached plans over it replan.
         """
         names = ([analyze.table.lower()] if analyze.table is not None
                  else self.catalog.table_names())
@@ -1645,10 +1620,6 @@ class Database:
                 "row_count": table_stats.row_count,
                 "columns": len(table_stats.columns),
             }
-        self.plan_cache.clear()
-        # statistics moved: strand cached segments so subsequent plans
-        # are costed against a cold cache, not yesterday's residency
-        self.scan_cache.invalidate_all()
         return StatementResult(kind="analyze", rowcount=len(names),
                                source_tables=list(names),
                                stats={"analyzed": summary})

@@ -30,6 +30,9 @@ letting uncommitted data touch the shared heap or the WAL:
 :class:`MVCCState` is owned by the catalog and shared by every table of
 one database; :class:`ReadView` is the per-statement handle tables
 consult while scanning (see :meth:`repro.db.storage.HeapTable.scan`).
+Its per-table commit watermarks only answer visibility (does a snapshot
+see a table's latest commit?); cache staleness is decided by the
+catalog's per-table version records (:mod:`repro.db.catalog`).
 
 The engine is single-threaded per statement (the server interleaves
 whole statements, never rows), so these structures need no locking —
@@ -143,24 +146,15 @@ class MVCCState:
         self.current: Optional[ReadView] = None
         self._active: dict[int, int] = {}  # txn_id -> snapshot tick
         self._commit_map: dict[int, int] = {}  # provisional -> commit tick
-        # highest committed write tick per table; the serving layer's
-        # result cache keys on these, so invalidation falls out of the
-        # same bookkeeping that stamps versions
+        # highest committed write tick per table (visibility only)
         self.table_watermarks: dict[str, int] = {}
-        # called with the table name on every watermark move — the
-        # columnar scan cache registers here so committed writes strand
-        # its segments the instant the watermark that keys them moves
-        self.write_listeners: list = []
 
     # -- per-table commit watermarks ------------------------------------------
 
     def note_write(self, table: str, tick: int) -> None:
         """Record a committed write to ``table`` at ``tick``."""
-        current = self.table_watermarks.get(table, 0)
-        if tick > current:
+        if tick > self.table_watermarks.get(table, 0):
             self.table_watermarks[table] = tick
-            for listener in self.write_listeners:
-                listener(table)
 
     def watermark(self, table: str) -> int:
         """Commit tick of the latest write to ``table`` (0 if never

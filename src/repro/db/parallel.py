@@ -18,11 +18,10 @@ module supplies the process layer under the ``Gather`` operators:
   protocol. Tasks (``repro.db.vector.PartitionTask``) pickle their
   AST-level pipeline spec through the task pipe; the worker rebuilds
   the operators against its own fork-time engine snapshot. The pool
-  stamps the engine state (logical clock, catalog version, stats
-  version, partition epoch) at fork time and recycles its residents
-  whenever the stamp moves — so a resident never scans a stale heap —
-  and respawns crashed workers so one bad statement cannot poison the
-  pool.
+  records the catalog's version clock (:mod:`repro.db.catalog`) at
+  fork time and recycles its residents whenever it moves — so a
+  resident never scans a stale heap — and respawns crashed workers so
+  one bad statement cannot poison the pool.
 * :class:`InProcessPool` — the deterministic twin used by the parity
   and property test suites: same thunks, same merge path, no
   processes. Injecting it makes partition/merge logic testable with
@@ -275,10 +274,10 @@ class PersistentForkPool:
     :class:`ForkPool` semantics.
 
     Freshness: a resident's heap is a copy-on-write snapshot taken at
-    fork time, so the pool records an engine *stamp* — ``(logical
-    clock, catalog version, stats version, partition epoch)`` — when
-    it spawns and recycles every resident the moment the live stamp
-    differs (any committed write, DDL, ANALYZE, or repartition).
+    fork time, so the pool records the catalog's version clock when it
+    spawns and recycles every resident once the clock moves (any heap
+    write, DDL, ANALYZE, or repartition; uncommitted writes ride along
+    in the pickled read view instead).
     Read-only workloads — the ones parallel plans serve — therefore
     fork exactly ``workers`` times per pool lifetime and reuse the
     residents for every subsequent statement.
@@ -296,7 +295,7 @@ class PersistentForkPool:
         self.engine = engine
         self.child_hook = child_hook
         self._slots: list[_Resident | None] = [None] * self.workers
-        self._stamp: tuple | None = None
+        self._stamp: int | None = None
         self._crashed_slots: set[int] = set()
         # counters surfaced via server_stats() and EXPLAIN ANALYZE
         self.forks = 0
@@ -323,18 +322,15 @@ class PersistentForkPool:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _engine_stamp(self) -> tuple | None:
-        engine = self.engine
-        if engine is None:
+    def _catalog_clock(self) -> int | None:
+        if self.engine is None:
             return None
-        return (engine.clock.now, engine.catalog.version,
-                engine.catalog.stats_version,
-                getattr(engine, "partition_epoch", 0))
+        return self.engine.catalog.clock.now
 
     def _ensure_workers(self) -> bool:
         """Spawn or recycle residents; True if every slot was reused."""
         if any(slot is not None for slot in self._slots):
-            stamp = self._engine_stamp()
+            stamp = self._catalog_clock()
             if stamp != self._stamp:
                 self.recycle()
         reused = True
@@ -344,7 +340,7 @@ class PersistentForkPool:
                     # stamp what the first fork of this generation sees;
                     # every sibling forks under the same (single-threaded)
                     # engine state
-                    self._stamp = self._engine_stamp()
+                    self._stamp = self._catalog_clock()
                 reused = False
                 self._spawn(index)
         return reused
@@ -388,7 +384,7 @@ class PersistentForkPool:
         _WORKER_ENGINE = self.engine
         # populated scan-cache segments ride into the fork copy-on-write
         # for free (stale generations die with the worker on recycle —
-        # any committed write moves the engine stamp); only the event
+        # any heap write moves the version clock); only the event
         # counters are zeroed so a worker's numbers describe the worker
         if self.engine is not None:
             cache = getattr(self.engine, "scan_cache", None)

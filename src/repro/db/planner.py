@@ -1003,8 +1003,9 @@ def _copart_eligible(join, context: parmod.ParallelContext) -> bool:
     """Plan-time check for the co-partitioned join fast path: both
     sides hash-partitioned with equal bucket counts on exactly the
     (single) join key. Execution re-checks the cheap invariants, and
-    the plan cache keys on the engine's partition epoch, so a cached
-    copart plan can never outlive the specs it was planned against."""
+    a cached plan is served only while its tables' ``partition``
+    versions match, so a cached copart plan can never outlive the
+    specs it was planned against."""
     if len(join.left_keys) != 1:
         return False
     left_scan = vector.parallel_scan_leaf(join.left)

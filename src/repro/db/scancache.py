@@ -1,4 +1,4 @@
-"""Columnar scan cache: watermark-versioned segments for the batch read path.
+"""Columnar scan cache: data-versioned segments for the batch read path.
 
 Every batch scan used to pay the same tax per execution: walk the heap
 in rowid order, slice it into :data:`~repro.db.vector.BATCH_SIZE`
@@ -13,37 +13,32 @@ Keying and invalidation
 
 Segments are keyed by
 
-``(table name, commit watermark, partition signature, column signature)``
+``(table name, data version, partition signature, column signature)``
 
-* The **commit watermark** is ``mvcc.watermark(table)`` — the highest
-  committed write tick, maintained by the exact bookkeeping that stamps
-  row versions (``MVCCState.note_write``) and already trusted by the
-  server result cache. Any committed write moves it, stranding every
-  older segment.
+* The **data version** is the ``data`` field of the table's catalog
+  version record (:mod:`repro.db.catalog`), moved by every heap write
+  whatever its path, so a stale segment is simply unreachable. DDL,
+  ANALYZE and repartitioning leave it alone: the segment stays exact.
 * The **partition signature** is ``None`` for full scans; partition
   scans key on ``(first rowid, last rowid, count)`` of their assigned
   rowid list, and a hit additionally verifies the stored list equals
-  the requested one (heaps grow between executions of a cached plan,
-  so partition boundaries are never trusted from the signature alone).
+  the requested one (repartitioning changes bucket membership without
+  changing the data version, so boundaries are never trusted from the
+  signature alone).
 * The **column signature** mirrors the scan's pruning decision: ``None``
   when the scan would materialize every column, otherwise the sorted
   tuple of column positions a fused consumer actually reads.
 
-Watermark keying alone is not sufficient: bulk loads that write the
-heap directly (``HeapTable.insert``) never call ``note_write``, so every
-heap mutator also purges the table's segments eagerly
-(``HeapTable._note_mutation`` → :meth:`ScanCache.invalidate_table`).
-That same eager purge closes the mid-statement window where a
-multi-row statement has bumped the watermark on its first row but not
-yet written its last. DDL, ANALYZE, repartitioning, TRUNCATE, and WAL
-recovery invalidate through the engine on top.
+At most one generation per table stays resident: building at a new
+data version first drops the table's older segments.
 
 Exactness under MVCC
 --------------------
 
 A segment holds the **committed-latest** heap image. Statements with no
 ambient read view read exactly that. For a statement under a view the
-cache serves only when provably exact:
+cache serves only when provably exact, judged by the MVCC commit
+watermark ``mvcc.watermark(table)``:
 
 * ``snapshot >= watermark(table)`` and the transaction has no private
   overlay for the table → the segment *is* the visible state. Proof:
@@ -201,7 +196,8 @@ class ScanCache:
         self.max_cells = max_cells
         self.enabled = True
         self._segments: "OrderedDict[tuple, Segment]" = OrderedDict()
-        self._per_table: dict[str, int] = {}
+        # table name → keys of its resident segments (one data version)
+        self._per_table: dict[str, set[tuple]] = {}
         self.resident_cells = 0
         self.hits = 0
         self.misses = 0
@@ -282,19 +278,23 @@ class ScanCache:
 
     def _segment(self, table, rowids: list[int] | None,
                  signature, colsig) -> tuple[Segment | None, bool]:
-        key = (table.name, table.mvcc.watermark(table.name),
-               signature, colsig)
+        data = table.version_record.data
+        key = (table.name, data, signature, colsig)
         segment = self._segments.get(key)
         if segment is not None:
             if rowids is None or segment.rowids == rowids:
                 self._segments.move_to_end(key)
                 self.hits += 1
                 return segment, True
-            # same signature, different rowid list (heap grew between
-            # executions without a watermark move): replace it
+            # same signature, different rowid list: replace it
             self._drop(key)
         self.misses += 1
         self.builds += 1
+        # a newer generation supersedes the table's older segments
+        for old in [old for old in self._per_table.get(table.name, ())
+                    if old[1] != data]:
+            self._drop(old)
+            self.invalidations += 1
         segment = Segment(table, rowids, colsig)
         self._admit(key, segment)
         return segment, False
@@ -345,8 +345,7 @@ class ScanCache:
 
     def _admit(self, key: tuple, segment: Segment) -> None:
         self._segments[key] = segment
-        self._per_table[segment.name] = (
-            self._per_table.get(segment.name, 0) + 1)
+        self._per_table.setdefault(segment.name, set()).add(key)
         self.resident_cells += segment.cells
         while self.resident_cells > self.max_cells and self._segments:
             oldest = next(iter(self._segments))
@@ -356,26 +355,14 @@ class ScanCache:
     def _drop(self, key: tuple) -> None:
         segment = self._segments.pop(key)
         self.resident_cells -= segment.cells
-        remaining = self._per_table.get(segment.name, 1) - 1
-        if remaining <= 0:
-            self._per_table.pop(segment.name, None)
-        else:
-            self._per_table[segment.name] = remaining
-
-    # -- invalidation ------------------------------------------------------------
-
-    def invalidate_table(self, name: str) -> None:
-        """Purge every segment of one table (any watermark). O(1) when
-        the table has nothing resident — heap mutators call this per
-        row, so only the first write of a burst pays the sweep."""
-        if name not in self._per_table:
-            return
-        for key in [key for key in self._segments if key[0] == name]:
-            self._drop(key)
-            self.invalidations += 1
+        resident = self._per_table[segment.name]
+        resident.discard(key)
+        if not resident:
+            del self._per_table[segment.name]
 
     def invalidate_all(self) -> None:
-        """Purge everything (DDL, ANALYZE, recovery)."""
+        """Purge everything (a cold start for tests and benchmarks;
+        correctness never depends on it)."""
         self.invalidations += len(self._segments)
         self._segments.clear()
         self._per_table.clear()
@@ -384,11 +371,12 @@ class ScanCache:
     # -- planner / observability -------------------------------------------------
 
     def has_cached_scan(self, table) -> bool:
-        """Is any segment of this table resident right now? Eager
-        mutator purges guarantee residency implies the current
-        watermark, so the planner may cost the scan as cached."""
-        return (self.enabled and table.mvcc is not None
-                and table.name in self._per_table)
+        """Is a segment of this table resident at its current data
+        version? Only then may the planner cost the scan as cached — a
+        segment stranded by a write does not count."""
+        resident = self._per_table.get(table.name)
+        return (self.enabled and bool(resident)
+                and next(iter(resident))[1] == table.version_record.data)
 
     def counters(self) -> dict[str, Any]:
         return {

@@ -27,23 +27,24 @@ facilities on top of plain query frames:
   answers with a cursor id plus the first chunk; ``fetch`` /
   ``close-cursor`` frames drain it under the pinned snapshot;
 * **result cache** — read-only statements are served from
-  :class:`ResultCache`, keyed on (normalized SQL, params, catalog
-  version, per-table MVCC commit watermarks), so invalidation falls
-  out of the commit bookkeeping and hits are snapshot-correct by
-  construction.
+  :class:`ResultCache`, valid while the ``schema`` and ``data``
+  versions of every source table are unchanged, so every write path
+  invalidates it without a hook; hits are snapshot-correct.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.clockwork import LogicalClock
 from repro.db import protocol
+from repro.db.catalog import Catalog
 from repro.db.engine import Cursor, Database, PlanCache, PreparedStatement
-from repro.db.mvcc import MVCCState, Session
+from repro.db.mvcc import Session
 from repro.errors import (
     DatabaseError,
     GroupCommitError,
@@ -76,25 +77,26 @@ def _looks_like_select(sql: str) -> bool:
     return sql.lstrip().lower().startswith("select")
 
 
+_RESULT_INPUTS = attrgetter("schema", "data")
+
+
 class ResultCache:
     """Read-through cache of ``result`` frames for read-only statements.
 
-    An entry records, besides the frame, the ``catalog.version`` and
-    the per-source-table MVCC commit watermarks at store time. A
-    lookup is a hit only when every watermark (and the catalog
-    version) still matches — i.e. the cached frame reflects the
-    *latest committed state* of every table it was derived from.
-    Invalidation therefore falls out of the commit map: any commit to
-    a source table moves that table's watermark and strands the entry.
+    An entry records, besides the frame, the ``schema`` and ``data``
+    versions of every source table at store time (see
+    :mod:`repro.db.catalog`), and a lookup is a hit only while they
+    all still match: every heap write, whatever its path, and every
+    DDL strands exactly the dependent entries.
 
     Snapshot correctness inside an open transaction needs one more
     check: the transaction's snapshot must actually *see* the latest
-    commit to every source table (``watermark <= snapshot``) and must
-    not have private writes overlaying them. When either fails, the
-    lookup misses — without evicting, since the entry is still right
-    for current-state readers — and the statement executes under the
-    transaction's own snapshot. Results computed inside a transaction
-    are never stored.
+    commit to every source table (``mvcc.watermark(table) <=
+    snapshot``) and must not have private writes overlaying them.
+    When either fails, the lookup misses — without evicting, since the
+    entry is still right for current-state readers — and the
+    statement executes under the transaction's own snapshot. Results
+    computed inside a transaction are never stored.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -110,32 +112,30 @@ class ResultCache:
     def key(sql: str, params: tuple, provenance: bool) -> tuple:
         return (PlanCache.normalize(sql), tuple(params), bool(provenance))
 
-    def _stale(self, entry: dict, mvcc: MVCCState,
-               catalog_version: int) -> bool:
-        if entry["catalog_version"] != catalog_version:
-            return True
-        return any(mvcc.watermark(table) != watermark
-                   for table, watermark in entry["watermarks"].items())
+    @staticmethod
+    def _stale(entry: dict, catalog: Catalog) -> bool:
+        return (catalog.stamp(entry["tables"], _RESULT_INPUTS)
+                != entry["stamp"])
 
-    def lookup(self, key: tuple, mvcc: MVCCState, catalog_version: int,
+    def lookup(self, key: tuple, catalog: Catalog,
                session: Session) -> Optional[dict]:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        if self._stale(entry, mvcc, catalog_version):
+        if self._stale(entry, catalog):
             del self._entries[key]
             self.invalidations += 1
             self.misses += 1
             return None
         context = session.txn
         if context is not None:
-            visible = all(watermark <= context.snapshot
-                          for watermark in entry["watermarks"].values())
+            visible = all(catalog.mvcc.watermark(table) <= context.snapshot
+                          for table in entry["tables"])
             overlaid = any(
                 not overlay.empty
                 for table, overlay in context.overlays.items()
-                if table in entry["watermarks"])
+                if table in entry["tables"])
             if not visible or overlaid:
                 # correct for current-state readers, not for this
                 # snapshot: bypass without evicting
@@ -146,24 +146,22 @@ class ResultCache:
         return entry["frame"]
 
     def store(self, key: tuple, frame: dict, source_tables: list[str],
-              mvcc: MVCCState, catalog_version: int) -> None:
+              catalog: Catalog) -> None:
+        tables = tuple(source_tables)
         self._entries[key] = {
             "frame": frame,
-            "catalog_version": catalog_version,
-            "watermarks": {table: mvcc.watermark(table)
-                           for table in source_tables},
+            "tables": tables,
+            "stamp": catalog.stamp(tables, _RESULT_INPUTS),
         }
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def revalidate(self, mvcc: MVCCState, catalog_version: int) -> int:
-        """Eagerly evict every entry stranded by a commit or DDL; the
-        return value is the number of invalidations, which is exact:
-        only entries whose source-table watermarks (or the catalog
-        version) actually moved are dropped."""
+    def revalidate(self, catalog: Catalog) -> int:
+        """Eagerly evict every entry stranded by a write or DDL; returns
+        the (exact) number of entries dropped."""
         stale = [key for key, entry in self._entries.items()
-                 if self._stale(entry, mvcc, catalog_version)]
+                 if self._stale(entry, catalog)]
         for key in stale:
             del self._entries[key]
         self.invalidations += len(stale)
@@ -690,11 +688,11 @@ class DBServer:
 
     def _maybe_revalidate(self, result) -> None:
         """Sweep the result cache after statements that may have moved
-        a commit watermark (or the catalog version)."""
+        a source table's version (reclaims memory early; lookups never
+        serve a stale entry either way)."""
         if (result.written or result.deleted
                 or result.kind in ("txn", "create", "drop", "copy")):
-            self.result_cache.revalidate(self.database.mvcc,
-                                         self.database.catalog.version)
+            self.result_cache.revalidate(self.database.catalog)
 
     def _finish_result(self, state: _ConnectionState,
                        request: dict[str, Any], result,
@@ -725,7 +723,7 @@ class DBServer:
             # store a private copy: the outgoing frame gets a txn stamp
             self.result_cache.store(
                 cache_key, dict(frame), result.source_tables,
-                self.database.mvcc, self.database.catalog.version)
+                self.database.catalog)
         self._attach_txn_status(frame, request)
         return frame
 
@@ -744,8 +742,7 @@ class DBServer:
         if _looks_like_select(sql):
             cache_key = ResultCache.key(sql, (), provenance)
             cached = self.result_cache.lookup(
-                cache_key, self.database.mvcc,
-                self.database.catalog.version, state.session)
+                cache_key, self.database.catalog, state.session)
             if cached is not None:
                 frame = dict(cached)
                 self._attach_txn_status(frame, request)
@@ -797,8 +794,7 @@ class DBServer:
             cache_key = (prepared.normalized_sql, params,
                          bool(provenance))
             cached = self.result_cache.lookup(
-                cache_key, self.database.mvcc,
-                self.database.catalog.version, state.session)
+                cache_key, self.database.catalog, state.session)
             if cached is not None:
                 frame = dict(cached)
                 self._attach_txn_status(frame, request)

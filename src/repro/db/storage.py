@@ -127,11 +127,12 @@ class HeapTable:
         self.rows: dict[int, tuple[Any, ...]] = {}
         self.versions: dict[int, int] = {}
         self.history: dict[int, list[tuple[int, int, tuple]]] = {}
-        self.mvcc = None  # set by Catalog; None for standalone tables
-        # the catalog's shared columnar scan cache (see
-        # repro.db.scancache); None for standalone tables, which are
-        # never served from cached segments
+        # set by the catalog that manages the table; None for
+        # standalone tables, which record no history, are never served
+        # from cached segments and carry no version record
+        self.mvcc = None
         self.scan_cache = None
+        self.version_record = None  # repro.db.catalog.TableVersion
         # committed-rowid list reused across scans until a mutation
         # changes the rowid set; builds are counted so tests can probe
         # the reuse
@@ -181,20 +182,15 @@ class HeapTable:
                 del self.history[rowid]
 
     def _note_mutation(self, rowids_changed: bool = True) -> None:
-        """Heap changed: strand cached scan state.
-
-        Every mutator calls this, so the scan cache can never serve a
-        stale segment — including from paths that bypass the WAL/MVCC
-        bookkeeping (direct bulk loads, WAL redo, package restore) and
-        from the mid-statement window where a multi-row statement has
-        already moved the commit watermark but not yet written its
-        last row. UPDATE keeps the rowid-list cache (the rowid *set*
-        is unchanged) but still drops segments (values changed).
-        """
+        """The heap changed: move the table's ``data`` version (see
+        :mod:`repro.db.catalog`). Every mutator calls this, whatever
+        the write path. UPDATE keeps the rowid-list cache (the rowid
+        *set* is unchanged)."""
         if rowids_changed:
             self._rowid_cache = None
-        if self.scan_cache is not None:
-            self.scan_cache.invalidate_table(self.name)
+        record = self.version_record
+        if record is not None:
+            record.data = record.clock.next()
 
     def pk_key(self, row: tuple) -> tuple[Any, ...] | None:
         """The row's primary-key value, or None for PK-less tables."""

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import VMIModel, build_cde_package, build_ptu_package
 from repro.core import ldv_audit, ldv_exec
 from repro.core.package import Package
+from repro.core.replay import ReplaySession
 from repro.errors import PackageError
 
 from tests.core.conftest import SERVER_BINARIES, World
@@ -76,6 +77,26 @@ class TestPTU:
         result = ldv_exec(tmp_path / "ptu", world.registry,
                           scratch_dir=tmp_path / "scratch")
         assert result.outputs["/data/report.txt"] == original
+
+    def test_ptu_restored_tables_read_their_own_transaction_writes(
+            self, world, tmp_path):
+        """Restored PTU tables are full catalog members: MVCC state,
+        scan cache and version record included, so a transaction on
+        the re-executed server sees its own insert."""
+        build_ptu_package(world.vos, "/bin/app", tmp_path / "ptu",
+                          world.database, "main", SERVER_BINARIES)
+        session = ReplaySession(tmp_path / "ptu", world.registry,
+                                scratch_dir=tmp_path / "scratch")
+        session.prepare()
+        database = session.database
+        sql = "SELECT count(*) FROM sales"
+        [(before,)] = database.query(sql)
+        assert before == 4  # the four packaged rows
+        database.execute("BEGIN")
+        database.execute("INSERT INTO sales VALUES (500, 1.0, 'south')")
+        assert database.query(sql) == [(before + 1,)]
+        database.execute("ROLLBACK")
+        assert database.query(sql) == [(before,)]
 
     def test_ptu_larger_than_ldv_when_selectivity_is_low(self, tmp_path):
         """The Fig 9 effect: LDV ships only the relevant subset."""

@@ -243,12 +243,14 @@ class TestPlanCache:
         sql = "SELECT name FROM emp WHERE id = 2"
         db.query(sql)
         db.execute("CREATE INDEX ix_emp_id ON emp (id)")
-        assert len(db.plan_cache) == 0
         # the re-plan must pick up the new index, not the cached scan
         assert db.query(sql) == [("bob",)]
         lines = [row[0] for row in db.execute("EXPLAIN " + sql).rows]
         assert any("IndexScan" in line for line in lines)
         assert db.plan_cache.hits == 0
+        assert db.plan_cache.misses == 2
+        # the stale entry was replaced in place, not kept beside it
+        assert len(db.plan_cache) == 1
 
     def test_drop_and_recreate_table_is_not_served_stale(self):
         db = Database()

@@ -320,16 +320,31 @@ class TestPlanCacheInvalidation:
         assert expected != shifted  # the shift really changed the data
 
     def test_stats_version_is_part_of_the_cache_key(self):
+        """A cached plan records its source tables' stats versions:
+        ANALYZE of a source table forces a replan, while ANALYZE of an
+        unrelated table and plain data writes do not."""
         db = Database()
         db.execute("CREATE TABLE t (a integer)")
+        db.execute("CREATE TABLE u (b integer)")
         db.execute("INSERT INTO t VALUES (1)")
+
+        def counters():
+            return db.plan_cache.hits, db.plan_cache.misses
+
         db.query("SELECT a FROM t")
-        keys_before = db.plan_cache.keys()
+        db.query("SELECT a FROM t")
+        assert counters() == (1, 1)
         db.execute("ANALYZE t")
         db.query("SELECT a FROM t")
-        keys_after = db.plan_cache.keys()
-        assert keys_before != keys_after
-        assert keys_before[0][:3] == keys_after[0][:3]
+        assert counters() == (1, 2)  # replanned against the new stats
+        db.query("SELECT a FROM t")
+        assert counters() == (2, 2)
+        db.execute("ANALYZE u")
+        db.execute("INSERT INTO t VALUES (2)")
+        assert db.query("SELECT a FROM t") == [(1,), (2,)]
+        assert counters() == (3, 2)
+        # one entry, replaced in place: the key is the SQL, not a version
+        assert len(db.plan_cache.keys()) == 1
 
 
 class TestExplainEstimates:

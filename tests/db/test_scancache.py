@@ -286,32 +286,33 @@ class TestEviction:
 # -- invalidation paths -------------------------------------------------------
 
 class TestInvalidation:
-    def test_every_ddl_path_strands_segments(self):
+    def test_segments_survive_ddl_until_data_changes(self):
+        """Segments key on the table's data version: index DDL, ANALYZE
+        and repartitioning leave a warm segment exact and served, while
+        dropping and recreating the table (new versions from the
+        catalog-wide clock) never serves the old image."""
         database = Database()
         database.execute("CREATE TABLE t (k integer, grp integer)")
         database.execute("INSERT INTO t VALUES " + ", ".join(
             f"({k}, {k % 4})" for k in range(40)))
         cache = database.scan_cache
-
-        def warm():
-            database.query("SELECT * FROM t")
-            assert cache.counters()["segments"] > 0
-
-        warm()
-        database.execute("CREATE INDEX idx_k ON t (k)")
-        assert cache.counters()["segments"] == 0
-        warm()
-        database.execute("DROP INDEX idx_k")
-        assert cache.counters()["segments"] == 0
-        warm()
-        database.execute("ANALYZE t")
-        assert cache.counters()["segments"] == 0
-        warm()
-        database.set_table_partitioning("t", "grp", 4)
-        assert cache.counters()["segments"] == 0
-        warm()
+        expected = database.query("SELECT * FROM t")
+        builds = cache.counters()["builds"]
+        for ddl in (lambda: database.execute("CREATE INDEX idx_k ON t (k)"),
+                    lambda: database.execute("DROP INDEX idx_k"),
+                    lambda: database.execute("ANALYZE t"),
+                    lambda: database.set_table_partitioning("t", "grp", 4)):
+            ddl()
+            hits = cache.hits
+            assert database.query("SELECT * FROM t") == expected
+            assert cache.hits == hits + 1
+        assert cache.counters()["builds"] == builds
         database.execute("DROP TABLE t")
-        assert cache.counters()["segments"] == 0
+        database.execute("CREATE TABLE t (k integer, label text)")
+        database.execute("INSERT INTO t VALUES (1, 'one')")
+        assert database.query("SELECT * FROM t") == [(1, "one")]
+        # the rebuild dropped the dropped table's generation
+        assert cache.counters()["segments"] == 1
 
     def test_recovery_starts_cold_and_exact(self, tmp_path):
         database = Database(data_directory=tmp_path)
@@ -375,8 +376,10 @@ def test_server_stats_expose_scan_cache_counters():
 def test_planner_cost_flip_prefers_warm_cached_scan():
     """With ~25% selectivity on 100 rows an index probe costs 54 and
     the scan 100 — the index wins cold. A warm segment re-costs the
-    scan at 25, flipping the choice, and ANALYZE (which strands the
-    cache) flips it back."""
+    scan at 25, flipping the choice. ANALYZE leaves the segment exact,
+    so the flip holds; a write strands it, and the planner must not
+    count a stranded segment as cached until one is rebuilt at the
+    table's new data version."""
     database = Database()
     database.execute("CREATE TABLE t (k integer, grp integer)")
     database.execute("INSERT INTO t VALUES " + ", ".join(
@@ -395,8 +398,18 @@ def test_planner_cost_flip_prefers_warm_cached_scan():
     warm = plan()
     assert "IndexScan" not in warm
     assert "idx_grp skipped" in warm and "cached scan is cheaper" in warm
-    database.execute("ANALYZE t")  # strands segments: cold costs again
+    database.execute("ANALYZE t")  # data unchanged: still warm
+    assert "cached scan is cheaper" in plan()
+    table = database.catalog.get_table("t")
+    cache = database.scan_cache
+    assert cache.has_cached_scan(table)
+    database.execute("INSERT INTO t VALUES (100, 1)")
+    assert cache.counters()["segments"] == 1  # stranded, still resident
+    assert not cache.has_cached_scan(table)
     assert "IndexScan" in plan()
+    database.query("SELECT * FROM t")  # rebuild at the new version
+    assert cache.has_cached_scan(table)
+    assert "cached scan is cheaper" in plan()
 
 
 # -- satellite: candidate_rowids reuse ----------------------------------------
