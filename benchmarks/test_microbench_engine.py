@@ -501,10 +501,10 @@ def test_parallel_pipeline_speedup(pipeline_db, report):
     assert not failures, "; ".join(failures)
 
 
-# at 4 workers on >= 4 cores the new parallel operators (per-partition
-# sort with a k-way merge; in-worker hash-table build) must beat their
-# serial twins by this much; parity and the fork-count bound are
-# asserted unconditionally
+# at 4 workers on >= 4 cores the parallel operators (per-partition
+# sort with a k-way merge; a hash join over per-side gathers, since
+# ``big`` is not co-partitioned) must beat their serial twins by this
+# much; parity and the fork-count bound are asserted unconditionally
 PARALLEL_OPERATOR_FLOOR = 1.5
 
 PARALLEL_SORT_QUERY = (
@@ -520,9 +520,10 @@ PARALLEL_JOIN_QUERY = (
     ("parallel_join", PARALLEL_JOIN_QUERY),
 ])
 def test_parallel_operator_speedup(pipeline_db, report, label, sql):
-    """Parallel sort and parallel hash-join build vs their serial
-    twins, served by the persistent worker pool (forked once, reused
-    across every timed repetition). Records trajectories in
+    """Parallel sort, and a hash join whose scan sides each gather
+    in parallel (the build stays serial in the parent), vs their
+    serial twins, served by the persistent worker pool (forked once,
+    reused across every timed repetition). Records trajectories in
     BENCH_engine.json under ``parallel_sort`` / ``parallel_join``;
     the 1.5x floor and the regression gate bind only where >= 4 cores
     exist, parity and the fork-count bound always."""

@@ -237,6 +237,9 @@ class ReplaySession:
             self._restore_full_data(database)
         else:
             self._restore_relevant_tuples(database)
+        # restored rows keep their audit-time versions; a transaction's
+        # snapshot must not predate them
+        database.advance_clock_past_versions()
         database.checkpoint()
         vos.register_db_server(server_name, DBServer(database).transport())
         self.database = database

@@ -576,9 +576,18 @@ class Database:
         """Resume logical time strictly after every recovered tick."""
         target = max(int(directory.load_meta().get("clock", 0)),
                      recovery.last_tick)
-        for table in self.catalog:
-            if table.versions:
-                target = max(target, max(table.versions.values()))
+        if target > self.clock.now:
+            self.clock.advance(target - self.clock.now)
+        self.advance_clock_past_versions()
+
+    def advance_clock_past_versions(self) -> None:
+        """Move logical time up to the highest row version in any
+        table, so every snapshot taken from now on sees every installed
+        row. Callers that install rows under stamps from another clock
+        (recovery, package restore) must call this before serving."""
+        target = max((max(table.versions.values())
+                      for table in self.catalog if table.versions),
+                     default=0)
         if target > self.clock.now:
             self.clock.advance(target - self.clock.now)
 
@@ -1195,12 +1204,13 @@ class Database:
             # late-bound: cached plans hold their planning context, so
             # the factory must resolve the engine's *current* resident
             # pool at dispatch time (a drained/torn-down pool falls
-            # back to fork-per-statement, which stays correct)
+            # back to running the tasks in this process, which stays
+            # correct and forks nothing)
             def pool_factory():
                 pool = self.parallel_pool
                 if pool is not None:
                     return pool
-                return parmod.default_pool_factory()
+                return parmod.InProcessPool()
         return parmod.ParallelContext(
             self.parallel_workers, pool_factory,
             self.parallel_min_rows)

@@ -506,6 +506,11 @@ def _arith(op: str, left: Any, right: Any) -> Any:
         if op == "%":
             if right == 0:
                 raise ExecutionError("division by zero")
+            if isinstance(left, int) and isinstance(right, int):
+                # SQL remainder takes the dividend's sign, matching
+                # the truncating integer division above
+                remainder = abs(left) % abs(right)
+                return remainder if left >= 0 else -remainder
             return left % right
         if op == "||":
             return str(left) + str(right)

@@ -4,14 +4,6 @@ The vectorized pipeline (``repro.db.vector``) is single-threaded, and
 the GIL makes in-process threads useless for CPU-bound scans. This
 module supplies the process layer under the ``Gather`` operators:
 
-* :class:`ForkPool` — one forked child per partition. ``fork`` gives
-  every worker a copy-on-write snapshot of the whole engine (heaps,
-  compiled kernels, the ambient MVCC read view), which sidesteps the
-  fact that compiled expression closures are not picklable: nothing is
-  shipped *to* a worker, only pickled results come back through a
-  pipe. Children exit with ``os._exit`` so they never run the parent's
-  cleanup handlers, and the parent reaps every child it forked — on
-  success, on worker crash, and on parent-side errors alike.
 * :class:`PersistentForkPool` — the production runtime: N long-lived
   resident workers forked once per ``set_parallel_workers(n)`` and
   reused across statements over a length-prefixed task/result frame
@@ -25,7 +17,10 @@ module supplies the process layer under the ``Gather`` operators:
 * :class:`InProcessPool` — the deterministic twin used by the parity
   and property test suites: same thunks, same merge path, no
   processes. Injecting it makes partition/merge logic testable with
-  plain stack traces and coverage.
+  plain stack traces and coverage. It is also the fallback wherever no
+  resident can take the work: unpicklable tasks handed to the
+  persistent pool, and statements dispatched while a draining server
+  has torn the engine's resident pool down.
 
 Both pools run read-only thunks. Parallel plans are only ever built
 for SELECT pipelines, so a worker never writes WAL records, never
@@ -35,9 +30,9 @@ the fork boundary is a read-only snapshot handoff by construction.
 MVCC correctness: the gather operator captures the session's ambient
 :class:`~repro.db.mvcc.ReadView` before dispatching and each thunk
 re-installs it, so a worker scans exactly the snapshot the serial plan
-would have scanned (fork already copies the view and the overlay data
-it points at; re-installing makes the handoff explicit and keeps the
-in-process pool honest).
+would have scanned (the view pickles whole through the task pipe,
+overlays included; re-installing it keeps the in-process pool honest
+too).
 """
 
 from __future__ import annotations
@@ -77,130 +72,6 @@ class InProcessPool:
                 self.child_hook(index)
             results.append(thunk())
         return results
-
-
-class ForkPool:
-    """One forked worker process per thunk, results over pipes.
-
-    Wire format per pipe: an 8-byte little-endian length followed by a
-    pickled ``(ok, value)`` pair — ``(True, result)`` or ``(False,
-    exception)``. A worker that dies before completing its frame (the
-    chaos campaigns kill them mid-scan) surfaces as
-    :class:`WorkerCrashError` in the parent *after* every child has
-    been reaped, so no zombies or pipe fds outlive the statement.
-    """
-
-    def __init__(self, child_hook: Callable[[int], None] | None = None
-                 ) -> None:
-        self.child_hook = child_hook
-        # pids of the most recent run, for reap assertions in tests
-        self.last_pids: list[int] = []
-
-    def run(self, thunks: list[Thunk]) -> list[Any]:
-        if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX
-            return InProcessPool(self.child_hook).run(thunks)
-        children: list[tuple[int, int, int]] = []  # (pid, read_fd, index)
-        results: list[Any] = [None] * len(thunks)
-        crashed: list[int] = []
-        worker_error: BaseException | None = None
-        self.last_pids = []
-        try:
-            for index, thunk in enumerate(thunks):
-                read_fd, write_fd = os.pipe()
-                pid = os.fork()
-                if pid == 0:  # pragma: no cover - forked child
-                    os.close(read_fd)
-                    self._child_main(write_fd, index, thunk)
-                os.close(write_fd)
-                children.append((pid, read_fd, index))
-                self.last_pids.append(pid)
-            for _pid, read_fd, index in children:
-                outcome = self._read_frame(read_fd)
-                if outcome is None:
-                    crashed.append(index)
-                    continue
-                ok, value = outcome
-                if ok:
-                    results[index] = value
-                elif worker_error is None:
-                    worker_error = value
-        finally:
-            for _pid, read_fd, _index in children:
-                try:
-                    os.close(read_fd)
-                except OSError:  # pragma: no cover - already closed
-                    pass
-            for pid, _read_fd, _index in children:
-                try:
-                    os.waitpid(pid, 0)
-                except ChildProcessError:  # pragma: no cover
-                    pass
-        if crashed:
-            raise WorkerCrashError(
-                f"parallel worker(s) {crashed} died before returning "
-                f"results; statement aborted, all workers reaped")
-        if worker_error is not None:
-            raise worker_error
-        return results
-
-    def _child_main(  # pragma: no cover - runs only in the forked child
-            self, write_fd: int, index: int, thunk: Thunk) -> None:
-        """Runs only in the forked child; never returns. Coverage
-        tooling cannot observe post-fork lines (hence the pragma) —
-        the behavior is pinned instead by the pool tests: result
-        frames, exception frames, unpicklable-exception downgrade, and
-        death-before-frame all have parent-side assertions."""
-        status = 0
-        try:
-            if self.child_hook is not None:
-                self.child_hook(index)
-            payload = pickle.dumps((True, thunk()),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-        except BaseException as error:
-            status = 1
-            try:
-                payload = pickle.dumps((False, error),
-                                       protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                payload = pickle.dumps(
-                    (False, WorkerCrashError(
-                        f"worker {index} failed with unpicklable "
-                        f"error: {error!r}")),
-                    protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            os.write(write_fd, struct.pack("<Q", len(payload)))
-            os.write(write_fd, payload)
-            os.close(write_fd)
-        except BaseException:  # pragma: no cover - parent died first
-            status = 1
-        os._exit(status)
-
-    @staticmethod
-    def _read_frame(read_fd: int) -> tuple[bool, Any] | None:
-        """One length-prefixed frame, or None if the writer died."""
-        def read_exact(wanted: int) -> bytes | None:
-            pieces = []
-            remaining = wanted
-            while remaining:
-                piece = os.read(read_fd, remaining)
-                if not piece:
-                    return None
-                pieces.append(piece)
-                remaining -= len(piece)
-            return b"".join(pieces)
-
-        header = read_exact(8)
-        if header is None:
-            return None
-        (length,) = struct.unpack("<Q", header)
-        payload = read_exact(length)
-        if payload is None:
-            return None
-        return pickle.loads(payload)
-
-
-def default_pool_factory() -> ForkPool:
-    return ForkPool()
 
 
 # The engine of the resident worker process (set once, right after the
@@ -261,17 +132,16 @@ def _read_frame_bytes(read_fd: int) -> bytes | None:
 class PersistentForkPool:
     """N long-lived forked workers reused across statements.
 
-    Where :class:`ForkPool` pays a fork + COW snapshot per thunk per
-    statement, this pool forks its residents once and then ships each
-    statement's partition tasks through pipes: a length-prefixed
-    pickled ``(task_index, task)`` frame per task, a length-prefixed
-    pickled ``(ok, value)`` frame per result. Tasks must therefore be
+    The pool forks its residents once and then ships each statement's
+    partition tasks through pipes: a length-prefixed pickled
+    ``(task_index, task)`` frame per task, a length-prefixed pickled
+    ``(ok, value)`` frame per result. Tasks must therefore be
     picklable — :class:`repro.db.vector.PartitionTask` ships an
     AST-level pipeline spec (tables collapse to names, the session's
     :class:`~repro.db.mvcc.ReadView` pickles whole) and the worker
     rebuilds the operators against its own engine copy. Unpicklable
-    legacy thunks transparently fall back to one-shot
-    :class:`ForkPool` semantics.
+    thunks (raw closures) run in this process through
+    :class:`InProcessPool` instead, with identical results.
 
     Freshness: a resident's heap is a copy-on-write snapshot taken at
     fork time, so the pool records the catalog's version clock when it
@@ -282,11 +152,11 @@ class PersistentForkPool:
     fork exactly ``workers`` times per pool lifetime and reuse the
     residents for every subsequent statement.
 
-    Crash semantics match :class:`ForkPool`: a resident that dies
-    before completing its result frame surfaces as
-    :class:`WorkerCrashError` after its pid is reaped; the dead slot
-    respawns on the next dispatch, so the statement's retry (parallel
-    plans are read-only, hence retry-safe) finds a healthy pool.
+    Crash semantics: a resident that dies before completing its
+    result frame surfaces as :class:`WorkerCrashError` after its pid
+    is reaped; the dead slot respawns on the next dispatch, so the
+    statement's retry (parallel plans are read-only, hence retry-safe)
+    finds a healthy pool.
     """
 
     def __init__(self, workers: int, engine: Any = None,
@@ -376,10 +246,9 @@ class PersistentForkPool:
             self, index: int, task_r: int, result_w: int) -> None:
         """Resident loop: read task frames until EOF, never return.
 
-        Post-fork lines are invisible to coverage (same as
-        ForkPool._child_main); behavior is pinned by parent-side
-        assertions in the pool tests: result frames, error frames,
-        crash-mid-frame, recycle-on-EOF."""
+        Post-fork lines are invisible to coverage; behavior is pinned
+        by parent-side assertions in the pool tests: result frames,
+        error frames, crash-mid-frame, recycle-on-EOF."""
         global _WORKER_ENGINE
         _WORKER_ENGINE = self.engine
         # populated scan-cache segments ride into the fork copy-on-write
@@ -472,8 +341,8 @@ class PersistentForkPool:
                                    protocol=pickle.HIGHEST_PROTOCOL)
                       for index, task in enumerate(tasks)]
         except Exception:
-            # unpicklable task (a raw closure): one-shot fork semantics
-            return ForkPool(self.child_hook).run(tasks)
+            # unpicklable task (a raw closure): no resident can take it
+            return InProcessPool(self.child_hook).run(tasks)
         if self._ensure_workers():
             self.reuse_hits += 1
         slot_count = self.workers
@@ -539,12 +408,10 @@ class ParallelContext:
 
     __slots__ = ("workers", "pool_factory", "min_rows")
 
-    def __init__(self, workers: int,
-                 pool_factory: Callable[[], Any] | None = None,
+    def __init__(self, workers: int, pool_factory: Callable[[], Any],
                  min_rows: int = DEFAULT_MIN_ROWS) -> None:
         self.workers = max(1, int(workers))
-        self.pool_factory = (pool_factory if pool_factory is not None
-                             else default_pool_factory)
+        self.pool_factory = pool_factory
         self.min_rows = min_rows
 
     def make_pool(self) -> Any:

@@ -136,11 +136,9 @@ def explain_plan(root: Operator) -> list[str]:
                 f"{render_expression(l)} = {render_expression(r)}"
                 for l, r in zip(operator.left_keys,
                                 operator.right_keys))
-            mode = ("co-partitioned" if operator.copart
-                    else "parallel build")
             return (f"HashJoin ({operator.kind}, "
                     f"build={operator.build_side}) on {keys} "
-                    f"[Parallel Hash Build: {mode}, "
+                    f"[Parallel Hash Build: co-partitioned, "
                     f"workers={operator.workers}]")
         if isinstance(operator, vector.FusedScanFilterProject):
             parts = [f"{len(operator.predicates)} predicates"]
@@ -287,8 +285,7 @@ def analyze_stats(root: Operator) -> list[dict]:
             return
         if isinstance(inner, vector.BatchParallelHashJoin):
             entry["workers"] = inner.workers
-            entry["join_mode"] = ("co-partitioned" if inner.copart
-                                  else "parallel build")
+            entry["join_mode"] = "co-partitioned"
             if inner.build_partition_stats is not None:
                 entry["build_partitions"] = list(
                     inner.build_partition_stats)
@@ -999,7 +996,7 @@ def _join_key_partition_column(key, side: Operator, spec) -> bool:
     return side.schema.columns[index].name == spec.column
 
 
-def _copart_eligible(join, context: parmod.ParallelContext) -> bool:
+def _copart_eligible(join) -> bool:
     """Plan-time check for the co-partitioned join fast path: both
     sides hash-partitioned with equal bucket counts on exactly the
     (single) join key. Execution re-checks the cheap invariants, and
@@ -1024,32 +1021,17 @@ def _copart_eligible(join, context: parmod.ParallelContext) -> bool:
 
 
 def _try_parallel_join(join, context: parmod.ParallelContext):
-    """Parallel placement for a hash join: the co-partitioned fast
-    path when both sides qualify and the probe side clears the cost
-    gate, else a parallel build when the build side does. Returning
-    None lets the walker descend and parallelize the sides
-    individually as plain gathers (the pre-existing behavior)."""
-    build_on_left = join.build_side == "left"
-    build_side = join.left if build_on_left else join.right
-    probe_side = join.right if build_on_left else join.left
-    if _copart_eligible(join, context):
-        probe_scan = vector.parallel_scan_leaf(probe_side)
-        if _parallel_input_rows(probe_scan) >= context.min_rows:
-            return vector.BatchParallelHashJoin(join, context,
-                                                copart=True)
-    build_scan = vector.parallel_scan_leaf(build_side)
-    if build_scan is None:
+    """Parallel placement for a hash join: the co-partitioned path when
+    both sides qualify and the probe side clears the cost gate.
+    Returning None lets the walker descend and parallelize the sides
+    individually as plain gathers."""
+    if not _copart_eligible(join):
         return None
-    if _parallel_input_rows(build_scan) < context.min_rows:
+    probe_side = join.right if join.build_side == "left" else join.left
+    probe_scan = vector.parallel_scan_leaf(probe_side)
+    if _parallel_input_rows(probe_scan) < context.min_rows:
         return None
-    parallel = vector.BatchParallelHashJoin(join, context)
-    # the probe side still streams through in-process: give it its
-    # own gather when it qualifies on its own merits
-    if build_on_left:
-        parallel.right = parallelize_plan(parallel.right, context)
-    else:
-        parallel.left = parallelize_plan(parallel.left, context)
-    return parallel
+    return vector.BatchParallelHashJoin(join, context)
 
 
 def parallelize_plan(root: Operator,

@@ -38,24 +38,29 @@ Exactness under MVCC
 A segment holds the **committed-latest** heap image. Statements with no
 ambient read view read exactly that. For a statement under a view the
 cache serves only when provably exact, judged by the MVCC commit
-watermark ``mvcc.watermark(table)``:
+watermark ``mvcc.watermark(table)`` and the highest row version the
+segment holds (``Segment.max_version()``):
 
-* ``snapshot >= watermark(table)`` and the transaction has no private
-  overlay for the table → the segment *is* the visible state. Proof:
-  every committed version ``v`` satisfies ``commit_stamp(v) <=
-  watermark <= snapshot`` (``note_write`` is always called with the
-  commit tick), so all committed-latest versions are visible and every
-  history chain's superseding ``end`` stamp is visible too — history
-  can never surface.
-* ``snapshot >= watermark(table)`` with an overlay → a **delta pass**:
-  merge the overlay's upserts over the segment and drop its deletes,
-  in sorted rowid order — exactly what
+* ``snapshot >= watermark(table)``, ``max_version <= snapshot``, and
+  the transaction has no private overlay for the table → the segment
+  *is* the visible state. Proof: every version ``v`` written through
+  DML satisfies ``commit_stamp(v) <= watermark <= snapshot``
+  (``note_write`` is always called with the commit tick), so all
+  committed-latest versions are visible and every history chain's
+  superseding ``end`` stamp is visible too — history can never
+  surface. A direct heap load (``HeapTable.insert`` at a fresh tick,
+  the dbgen path) moves no watermark; its rows carry their load tick
+  as version, committed at that same tick, so ``max_version <=
+  snapshot`` is what keeps them out of older snapshots.
+* both bounds hold and the transaction has an overlay → a **delta
+  pass**: merge the overlay's upserts over the segment and drop its
+  deletes, in sorted rowid order — exactly what
   :meth:`~repro.db.storage.HeapTable._scan_view` computes under the
   same condition, without per-rowid version resolution.
-* ``snapshot < watermark(table)`` → some committed version may be
-  invisible and a history chain may matter: the cache refuses
-  (``fallbacks`` counter) and the scan takes the uncached
-  ``scan_versions()`` walk.
+* ``snapshot < watermark(table)`` or ``max_version > snapshot`` → some
+  committed version may be invisible and a history chain may matter:
+  the cache refuses (``fallbacks`` counter) and the scan takes the
+  uncached ``scan_versions()`` walk.
 
 Bounding and observability
 --------------------------
@@ -104,7 +109,7 @@ class Segment:
 
     __slots__ = ("name", "rowids", "versions", "row_major", "width",
                  "colsig", "count", "cells", "_chunks", "_variants",
-                 "_positions")
+                 "_positions", "_max_version")
 
     def __init__(self, table, rowids: list[int] | None,
                  colsig: tuple[int, ...] | None) -> None:
@@ -128,6 +133,7 @@ class Segment:
         self._chunks = self._build_chunks()
         self._variants: dict[tuple[bool, bool], list] = {}
         self._positions: dict[int, int] | None = None
+        self._max_version: int | None = None
 
     def _build_chunks(self) -> list[tuple[list, list]]:
         """Per-chunk ``(chunk_rows, columns)`` — the shared vectors
@@ -187,6 +193,13 @@ class Segment:
                                in enumerate(self.rowids)}
         return self._positions
 
+    def max_version(self) -> int:
+        """Highest row version held, computed lazily for reads under
+        a view (the segment is immutable, so once is enough)."""
+        if self._max_version is None:
+            self._max_version = max(self.versions, default=0)
+        return self._max_version
+
 
 class ScanCache:
     """LRU pool of :class:`Segment` objects, shared by every table of
@@ -221,8 +234,6 @@ class ScanCache:
         if view is None:
             colsig = self._colsig(operator, track_lineage)
             segment, hit = self._segment(table, None, None, colsig)
-            if segment is None:
-                return None
             operator.cache_note = "hit" if hit else "miss"
             return segment.batches(track_lineage, False)
         if view.snapshot < table.mvcc.watermark(table.name):
@@ -231,19 +242,18 @@ class ScanCache:
             # uncached scan_versions() walk is the only exact answer
             self.fallbacks += 1
             return None
-        overlay = view.overlay_for(table.name)
-        if overlay is None or overlay.empty:
-            # snapshot >= watermark and no private writes: the
-            # committed-latest image is exactly the visible state
-            segment, hit = self._segment(table, None, None, None)
-            if segment is None:
-                return None
-            operator.cache_note = "hit" if hit else "miss"
-            return segment.batches(track_lineage, False)
         segment, hit = self._segment(table, None, None, None)
-        if segment is None:
+        if segment.max_version() > view.snapshot:
+            # a direct heap load at a fresh tick moves no watermark:
+            # its rows are in the segment but not in the snapshot
+            self.fallbacks += 1
             return None
         operator.cache_note = "hit" if hit else "miss"
+        overlay = view.overlay_for(table.name)
+        if overlay is None or overlay.empty:
+            # no private writes: the committed-latest image is exactly
+            # the visible state
+            return segment.batches(track_lineage, False)
         self.delta_merges += 1
         return self._delta_batches(segment, overlay, track_lineage)
 
@@ -261,8 +271,6 @@ class ScanCache:
         else:
             signature = (0, 0, 0)
         segment, hit = self._segment(table, rowids, signature, colsig)
-        if segment is None:
-            return None
         operator.cache_note = "hit" if hit else "miss"
         return segment.batches(track_lineage, True)
 
@@ -277,7 +285,7 @@ class ScanCache:
         return tuple(sorted(needed))
 
     def _segment(self, table, rowids: list[int] | None,
-                 signature, colsig) -> tuple[Segment | None, bool]:
+                 signature, colsig) -> tuple[Segment, bool]:
         data = table.version_record.data
         key = (table.name, data, signature, colsig)
         segment = self._segments.get(key)

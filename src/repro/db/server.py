@@ -80,6 +80,15 @@ def _looks_like_select(sql: str) -> bool:
 _RESULT_INPUTS = attrgetter("schema", "data")
 
 
+def _newest_version(catalog: Catalog, name: str) -> int:
+    """Highest row version in a table (0 when empty or missing). A
+    direct heap load at a fresh tick moves no commit watermark, so the
+    in-transaction visibility check bounds this too."""
+    if not catalog.has_table(name):
+        return 0
+    return max(catalog.get_table(name).versions.values(), default=0)
+
+
 class ResultCache:
     """Read-through cache of ``result`` frames for read-only statements.
 
@@ -92,7 +101,10 @@ class ResultCache:
     Snapshot correctness inside an open transaction needs one more
     check: the transaction's snapshot must actually *see* the latest
     commit to every source table (``mvcc.watermark(table) <=
-    snapshot``) and must not have private writes overlaying them.
+    snapshot``, and the table's highest row version ``<= snapshot``
+    for rows loaded straight into the heap) and must not have private
+    writes overlaying them. The entry's data versions still match, so
+    the heap it reads is the one the entry was computed from.
     When either fails, the lookup misses — without evicting, since the
     entry is still right for current-state readers — and the
     statement executes under the transaction's own snapshot. Results
@@ -130,7 +142,9 @@ class ResultCache:
             return None
         context = session.txn
         if context is not None:
-            visible = all(catalog.mvcc.watermark(table) <= context.snapshot
+            snapshot = context.snapshot
+            visible = all(catalog.mvcc.watermark(table) <= snapshot
+                          and _newest_version(catalog, table) <= snapshot
                           for table in entry["tables"])
             overlaid = any(
                 not overlay.empty
@@ -407,7 +421,7 @@ class DBServer:
         self.draining = True
         # resident pool workers are idle capacity a draining server no
         # longer needs; in-flight parallel statements fall back to
-        # fork-per-statement pools, which stay correct
+        # running their tasks in-process, which stays correct
         self.database._teardown_parallel_pool()
 
     def undrain(self) -> None:

@@ -1038,17 +1038,16 @@ class PartitionTask:
     """One partition's unit of parallel work.
 
     Callable in-process — :class:`~repro.db.parallel.InProcessPool`
-    and the fork-per-statement :class:`~repro.db.parallel.ForkPool`
-    just invoke it (the fork copies direct table references and any
-    prebuilt clone) — and *picklable* for
+    just invokes it (direct table references and any prebuilt clone
+    are used as they are) — and *picklable* for
     :class:`~repro.db.parallel.PersistentForkPool` residents:
     ``__getstate__`` collapses heap-table references to names and
     drops the prebuilt clone; the resident re-resolves names against
     its fork-time engine and rebuilds the pipeline from the AST spec
     through the same constructors. The ambient
     :class:`~repro.db.mvcc.ReadView` pickles whole (snapshot,
-    overlays, commit map), so MVCC visibility ships to residents
-    exactly as the fork-per-statement pool shipped it.
+    overlays, commit map), so a resident scans exactly the snapshot
+    the in-process run would.
     """
 
     __slots__ = ("spec", "root")
@@ -1118,41 +1117,6 @@ def _sorted_partition(rows: list, lineages: list | None, rowids: list,
         if lineages is not None:
             lineages = lineages[:ship_limit]
     return rows, lineages, rowids
-
-
-def _drain_build(root: BatchOperator, keys: tuple, started: float):
-    """Partial hash-join build: evaluate the build keys over this
-    partition and ship flat ``(key, row, lineage, rowid)`` entries —
-    the parent folds them into one table in global rowid order, which
-    reproduces the serial build's per-key insertion order exactly."""
-    key_fns = [exprs.compile_batch_expression(expression, root.schema)
-               for expression in keys]
-    single = len(key_fns) == 1
-    entries: list = []
-    tracked = False
-    for batch in batches_of(root):
-        sel = batch.selection()
-        if not sel:
-            continue
-        rows = batch.rows()
-        lineages = batch.gathered_lineages()
-        if lineages is None:
-            lineages = [EMPTY_LINEAGE] * len(rows)
-        else:
-            tracked = True
-        rowids = batch.gathered_rowids()
-        key_vectors = [fn(batch.columns, sel) for fn in key_fns]
-        key_values = (key_vectors[0] if single
-                      else list(zip(*key_vectors)))
-        for position, key in enumerate(key_values):
-            if single:
-                if key is None:
-                    continue  # NULL never equi-joins
-            elif any(part is None for part in key):
-                continue
-            entries.append((key, rows[position], lineages[position],
-                            rowids[position]))
-    return (entries, tracked, perf_counter() - started, len(entries))
 
 
 def _run_copart_task(spec: dict):
@@ -1250,8 +1214,7 @@ def _run_partition_task(spec: dict, root=None):
     """Execute one partition task — the single implementation behind
     every pool substrate. ``root`` is the gather's cached in-process
     clone (None in resident workers and for join tasks, which rebuild
-    from the spec). Installs the shipped read view around the drain
-    exactly as the fork-per-statement thunks did."""
+    from the spec). Installs the shipped read view around the drain."""
     kind = spec["kind"]
     if kind == "copart":
         return _run_copart_task(spec)
@@ -1279,8 +1242,6 @@ def _run_partition_task(spec: dict, root=None):
                  groups[key]["first_rowid"])
                 for key in order]
             return (partial, perf_counter() - started, len(partial))
-        if kind == "build":
-            return _drain_build(root, spec["keys"], started)
         rows, lineages, rowids = _drain_rows(root)
         if kind == "sort":
             rows, lineages, rowids = _sorted_partition(
@@ -1608,40 +1569,27 @@ class BatchParallelSort(_GatherBase):
 
 
 class BatchParallelHashJoin(BatchHashJoin):
-    """Hash join whose build side is constructed partition-parallel.
+    """Co-partitioned hash join: both sides hash-partitioned on their
+    join key with equal bucket counts.
 
-    Two modes, chosen by the planner and re-checked at execution:
-
-    * **Parallel build** — workers hash their partition of the build
-      side and ship flat ``(key, row, lineage, rowid)`` entries; the
-      parent folds them into one table in global rowid order
-      (concatenation for range partitions, k-way rowid merge for hash
-      buckets), which reproduces the serial build's per-key insertion
-      order exactly, then streams the probe side through it with the
-      inherited serial probe loop. Identical table contents and probe
-      path → identical output bytes.
-    * **Co-partitioned fast path** (``copart=True``) — when both
-      sides are hash-partitioned on their join key with equal bucket
-      counts, a key's rows land in the same bucket index on both
-      sides (same ``stable_hash``), so bucket *i* can only ever join
-      bucket *i*: each worker builds and probes its aligned buckets
-      locally and ships finished joined rows tagged with probe
-      rowids; the parent k-way merges the streams back into serial
-      probe order. No rebucketing, no shipped hash tables. The fast
-      path needs the committed-latest bucket maps, so an ambient read
-      view (or a spec cleared since planning) falls back to parallel
-      build at execution time.
+    A key's rows land in the same bucket index on both sides (same
+    ``stable_hash``), so bucket *i* can only ever join bucket *i*: each
+    worker builds and probes its aligned buckets locally and ships
+    finished joined rows tagged with probe rowids; the parent k-way
+    merges the streams back into serial probe order. No rebucketing,
+    no shipped hash tables. The bucket maps describe the
+    committed-latest heap, so an ambient read view (or a spec cleared
+    since planning) makes the join run the inherited serial
+    :class:`BatchHashJoin` build and probe instead.
     """
 
-    def __init__(self, join: BatchHashJoin, context,
-                 copart: bool = False) -> None:
+    def __init__(self, join: BatchHashJoin, context) -> None:
         BatchHashJoin.__init__(self, join.left, join.right,
                                join.left_keys, join.right_keys,
                                join.kind, join.residual,
                                join.build_side)
         self.context = context
         self.workers = context.workers
-        self.copart = copart
         self.build_partition_stats: list[dict] | None = None
         for attr in ("est_rows", "est_build_rows"):
             value = getattr(join, attr, None)
@@ -1653,41 +1601,6 @@ class BatchParallelHashJoin(BatchHashJoin):
 
     def _probe_side_operator(self, build_on_left: bool) -> ex.Operator:
         return self.right if build_on_left else self.left
-
-    def _build(self, build_on_left: bool) -> tuple[dict, bool]:
-        side = self._build_side_operator(build_on_left)
-        scan = parallel_scan_leaf(side)
-        if scan is None:  # defensive: the planner gates eligibility
-            return BatchHashJoin._build(self, build_on_left)
-        table = scan.table
-        lists, merge_mode = _partition_rowid_lists(table, self.workers)
-        lists = [chunk for chunk in lists if chunk]
-        if not lists:
-            lists = [[]]
-        chain = _chain_spec(side)
-        view = table.active_view()
-        keys = tuple(self.left_keys if build_on_left
-                     else self.right_keys)
-        tasks = [PartitionTask({"kind": "build", "chain": chain,
-                                "rowids": chunk, "view": view,
-                                "keys": keys})
-                 for chunk in lists]
-        payloads = self.context.make_pool().run(tasks)
-        self.build_partition_stats = [
-            {"partition": index, "rows": payload[-1],
-             "seconds": payload[-2]}
-            for index, payload in enumerate(payloads)]
-        if merge_mode:
-            ordered = heapq.merge(*[payload[0] for payload in payloads],
-                                  key=itemgetter(3))
-        else:
-            ordered = (entry for payload in payloads
-                       for entry in payload[0])
-        build: dict[Any, list] = {}
-        for key, row, lineage, _rowid in ordered:
-            build.setdefault(key, []).append((row, lineage))
-        tracked = any(payload[1] for payload in payloads)
-        return build, tracked
 
     def _copart_state(self):
         """Leaf scans when the co-partitioned fast path can run *now*
@@ -1711,7 +1624,7 @@ class BatchParallelHashJoin(BatchHashJoin):
         return build_on_left, build_scan, probe_scan
 
     def batches(self) -> Iterator[RowBatch]:
-        state = self._copart_state() if self.copart else None
+        state = self._copart_state()
         if state is None:
             yield from BatchHashJoin.batches(self)
             return

@@ -407,7 +407,8 @@ class TestWorkerCrashServing:
             "SELECT count(*) FROM t WHERE x = 999") == [(1,)]
         assert server.database.dedupe_ledger.hits == 1
 
-    def test_drain_tears_down_residents_and_undrain_respawns(self):
+    def test_drain_tears_down_residents_and_undrain_respawns(
+            self, monkeypatch):
         database = Database()
         database.execute("CREATE TABLE t (x integer, y integer)")
         database.execute("INSERT INTO t VALUES " + ", ".join(
@@ -418,12 +419,34 @@ class TestWorkerCrashServing:
         assert client.query("SELECT count(*) FROM t") == [(60,)]
         pids = database.parallel_pool.worker_pids()
         assert len(pids) == 2
+        sql = "SELECT x, y FROM t WHERE x % 7 = 3"
+        expected = [(x, x) for x in range(60) if x % 7 == 3]
+        in_flight = make_client(server, retry_policy=None)
+        in_flight.execute("BEGIN")
         server.drain()
         # the resident workers die with the drain, pids reaped
         assert database.parallel_pool is None
         for pid in pids:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+        # the transaction opened before the drain still runs its
+        # parallel plan: the tasks execute in this process (the serial
+        # rows, in serial order) and nothing forks
+        def no_fork():
+            raise AssertionError("forked while the pool was drained")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        dispatched = []
+        real_run = parallel.InProcessPool.run
+        monkeypatch.setattr(
+            parallel.InProcessPool, "run",
+            lambda pool, tasks: dispatched.append(len(tasks))
+            or real_run(pool, tasks))
+        assert in_flight.query(sql) == expected
+        assert dispatched == [2]
+        in_flight.execute("COMMIT")
+        assert server.drained
+        monkeypatch.undo()
         server.undrain()
         assert database.parallel_pool is not None
         assert client.query("SELECT count(*) FROM t") == [(60,)]
@@ -644,15 +667,26 @@ class TestParallelWorkerCrash:
         return answers
 
     def crash_one_query(self, database):
-        """Run a parallel query whose second worker dies mid-scan."""
+        """Run a parallel query whose second worker dies mid-scan,
+        then close the pool. Returns the pool."""
         from repro.db import parallel
         from repro.errors import WorkerCrashError
-        pool = parallel.ForkPool(
+        pool = parallel.PersistentForkPool(
+            4, engine=database,
             child_hook=lambda index: os._exit(1) if index == 1 else None)
         database.set_parallel_workers(
             4, pool_factory=lambda: pool, min_rows=0)
-        with pytest.raises(WorkerCrashError):
-            database.query("SELECT y, sum(x) FROM t GROUP BY y")
+        try:
+            with pytest.raises(WorkerCrashError):
+                database.query("SELECT y, sum(x) FROM t GROUP BY y")
+            # the crashed resident is reaped with the error itself
+            assert len(pool.last_pids) == 4
+            crashed = pool.last_pids[1]
+            with pytest.raises(ChildProcessError):
+                os.waitpid(crashed, os.WNOHANG)
+            assert crashed not in pool.worker_pids()
+        finally:
+            pool.close()
         return pool
 
     def test_crash_mid_query_leaks_nothing_and_recovers(self, tmp_path):
@@ -662,6 +696,7 @@ class TestParallelWorkerCrash:
         serial = database.query("SELECT y, sum(x) FROM t GROUP BY y")
         pool = self.crash_one_query(database)
         # every forked worker was reaped — no zombies survive the error
+        # and close()
         assert len(pool.last_pids) == 4
         for pid in pool.last_pids:
             with pytest.raises(ChildProcessError):
@@ -707,16 +742,22 @@ class TestParallelWorkerCrash:
             f"({x}, {x})" for x in range(100)))
         session = database.create_session("txn")
         database.execute("BEGIN", session=session)
-        pool = parallel.ForkPool(
+        pool = parallel.PersistentForkPool(
+            2, engine=database,
             child_hook=lambda index: os._exit(1) if index == 0 else None)
         database.set_parallel_workers(
             2, pool_factory=lambda: pool, min_rows=0)
         with pytest.raises(WorkerCrashError):
             database.query("SELECT sum(y) FROM t", session=session)
+        crashed, survivor = pool.last_pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(crashed, os.WNOHANG)
+        assert pool.worker_pids() == [survivor]
         # the transaction survives (only the statement failed) and can
         # finish; afterwards nothing pins the horizon
         database.execute("ROLLBACK", session=session)
         assert database.mvcc.active_count() == 0
+        pool.close()
         for pid in pool.last_pids:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)

@@ -18,8 +18,9 @@ Three layers of evidence:
    twin and a parallel twin running the same workload.
 
 The deterministic ``InProcessPool`` drives most cases so failures
-reproduce exactly; a representative subset re-runs on the real
-``ForkPool`` to prove the fork path answers identically too.
+reproduce exactly; a representative subset re-runs on the engine's
+resident ``PersistentForkPool`` to prove the fork path answers
+identically too.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def test_fork_pool_wire_identical(parity_pair, sql):
                     == encode_frame(result_to_wire(baseline)))
 
 
-# -- parallel sort / parallel hash build shapes -------------------------------
+# -- parallel sort / parallel join shapes -------------------------------------
 
 TENTPOLE_SHAPES = [
     # full parallel sort (per-partition sort, k-way merge in the parent)
@@ -161,7 +162,8 @@ TENTPOLE_SHAPES = [
     "SELECT k, name FROM t ORDER BY name DESC, k LIMIT 25 OFFSET 3",
     # NULL ordering under the merge (b and name carry NULLs)
     "SELECT k, b FROM t ORDER BY b DESC, k LIMIT 40",
-    # parallel hash build: the build side builds inside the workers
+    # joins: scan sides gather per side (co-partitioned when both
+    # sides are hash-partitioned on the key)
     "SELECT t.k, t.a, small.label FROM t, small WHERE t.k = small.k",
     "SELECT t.k, small.label FROM t LEFT JOIN small ON t.k = small.k "
     "WHERE t.a < 50",
@@ -197,8 +199,8 @@ def explain_text(database, sql):
 
 def test_copartitioned_join_wire_identical():
     """Both sides hash-partitioned on the join key: the planner takes
-    the co-partitioned fast path (no broadcast build) and the answer
-    stays bit-identical to serial."""
+    the co-partitioned path (worker *i* joins bucket *i* of both
+    sides) and the answer stays bit-identical to serial."""
     database = build_parity_db(False)
     database.set_table_partitioning("t", "k", 4)
     database.set_table_partitioning("small", "k", 4)
@@ -216,6 +218,41 @@ def test_copartitioned_join_wire_identical():
             assert encode_frame(result_to_wire(result)) == frame
     set_workers(database, 4)
     assert "co-partitioned" in explain_text(database, sql)
+
+
+def test_copartitioned_join_under_a_snapshot_builds_serially():
+    """Bucket maps describe the committed-latest heap, so inside an
+    open transaction the co-partitioned join dispatches nothing and
+    runs the serial build and probe — still answering exactly what
+    the serial plan answers under the same snapshot."""
+    database = build_parity_db(False)
+    database.set_table_partitioning("t", "k", 4)
+    database.set_table_partitioning("small", "k", 4)
+    sql = ("SELECT t.k, t.a, small.label FROM t, small "
+           "WHERE t.k = small.k")
+    committed = database.query(sql)
+    session = database.create_session("txn")
+    database.execute("BEGIN", session=session)
+    database.execute("DELETE FROM small WHERE k < 3", session=session)
+    baseline = database.execute(sql, True, session=session)
+    dispatched = []
+
+    class CountingPool(parallel.InProcessPool):
+        def run(self, tasks):
+            dispatched.append(len(tasks))
+            return super().run(tasks)
+
+    database.set_parallel_workers(4, pool_factory=CountingPool,
+                                  min_rows=0)
+    assert "co-partitioned" in explain_text(database, sql)
+    result = database.execute(sql, True, session=session)
+    assert result.rows == baseline.rows
+    assert result.lineages == baseline.lineages
+    assert dispatched == []
+    database.execute("ROLLBACK", session=session)
+    # outside the transaction the same cached plan goes parallel again
+    assert database.query(sql) == committed
+    assert dispatched == [4]
 
 
 PERSISTENT_SUBSET = TENTPOLE_SHAPES[1:2] + TENTPOLE_SHAPES[4:6]

@@ -13,6 +13,12 @@ NULLs first while this engine sorts them last, so a LIMIT over a
 nullable key would truncate different rows even though both orders are
 individually valid.
 
+A second grammar drives UPDATE and DELETE statements (seeded ``WHERE``
+predicates from the SELECT grammar, simple ``SET`` expressions that
+reach negative values and NULLs) through both engines in sequence,
+asserting equal row counts and an equal post-state of every table after
+each statement.
+
 CI pins ``SEED_COUNT`` seeds; ``pytest --seeds N`` widens or narrows
 the sweep locally without touching the code.
 """
@@ -30,6 +36,7 @@ pytestmark = pytest.mark.differential
 
 SEED_COUNT = 30          # pinned for CI
 QUERIES_PER_SEED = 11    # grammar families below
+DML_PER_SEED = 6         # DML grammar families below
 
 
 def pytest_generate_tests(metafunc):
@@ -183,6 +190,34 @@ def generate_query(rng, family):
             f"ON x.a = y.a", False)
 
 
+# -- random DML grammar -------------------------------------------------------
+
+SET_EXPRESSIONS = ["a - d", "b * 2", "NULL", "d % 4 - a", "(a - d) % 3",
+                   "b / 2"]
+
+
+def generate_dml(rng, family):
+    """One UPDATE or DELETE from the bounded DML grammar; statements
+    of one seed run in sequence, so later families see earlier
+    writes (negative values, new NULLs, deleted rows)."""
+    where = f" WHERE {_predicate(rng)}" if rng.random() < 0.85 else ""
+    if family == 0:  # arithmetic on a non-nullable column
+        return f"UPDATE t0 SET d = d + {rng.randint(-4, 4)}{where}"
+    if family == 1:  # NULL-propagating expression, possibly negative
+        return f"UPDATE t0 SET b = {rng.choice(SET_EXPRESSIONS)}{where}"
+    if family == 2:  # several columns at once, text literal included
+        return (f"UPDATE t0 SET c = '{rng.choice(COLORS)}', "
+                f"b = b + {rng.randint(1, 3)}{where}")
+    if family == 3:  # filtered delete (no WHERE now and then)
+        return f"DELETE FROM t0{where}"
+    if family == 4:  # update keyed on the join column of t1
+        return (f"UPDATE t1 SET e = e * 2 - a, f = NULL "
+                f"WHERE a {rng.choice(INT_OPS)} {rng.randint(0, 9)}")
+    # family == 5: delete from t1, NULL test included
+    return (f"DELETE FROM t1 WHERE e {rng.choice(INT_OPS)} "
+            f"{rng.randint(0, 9)} OR f IS NULL")
+
+
 # -- the oracle ---------------------------------------------------------------
 
 def canonical(rows, ordered):
@@ -199,6 +234,27 @@ def test_differential_oracle(oracle_seed):
         assert canonical(mine, ordered) == canonical(reference, ordered), (
             f"seed {oracle_seed}, family {case}: engines diverge on\n"
             f"  {sql}")
+
+
+def test_differential_dml(oracle_seed):
+    """UPDATE/DELETE families: equal row counts, and the post-state of
+    every table (``SELECT *`` as a sorted list, a total order) equal
+    after each statement."""
+    rng, database, connection = build_engines(oracle_seed)
+    for case in range(DML_PER_SEED):
+        sql = generate_dml(rng, case)
+        mine = database.execute(sql).rowcount
+        reference = connection.execute(sql).rowcount
+        assert mine == reference, (
+            f"seed {oracle_seed}, DML family {case}: row counts "
+            f"{mine} != {reference} for\n  {sql}")
+        for table in TABLES:
+            state = f"SELECT * FROM {table}"
+            assert (canonical(database.query(state), False)
+                    == canonical(connection.execute(state).fetchall(),
+                                 False)), (
+                f"seed {oracle_seed}, DML family {case}: {table} "
+                f"diverges after\n  {sql}")
 
 
 def test_oracle_covers_the_advertised_case_count(request):

@@ -2,7 +2,7 @@
 placement, EXPLAIN integration, MVCC snapshots, and crash surfacing.
 
 The parity-first harness lives in ``test_differential_parallel.py``;
-this file covers the machinery itself — the fork/in-process pools, the
+this file covers the machinery itself — the resident/in-process pools, the
 hash-partition bookkeeping on the heap, the WAL/checkpoint persistence
 of partition specs (with the packaged ``.tbl`` bytes provably
 unchanged), the cost-gated Gather placement, and the failure path
@@ -40,43 +40,6 @@ class TestPools:
         pool.run([lambda: None, lambda: None, lambda: None])
         assert hooked == [0, 1, 2]
 
-    def test_fork_pool_returns_results_in_partition_order(self):
-        pool = parallel.ForkPool()
-        results = pool.run([lambda i=i: i * i for i in range(5)])
-        assert results == [0, 1, 4, 9, 16]
-
-    def test_fork_pool_reaps_every_worker(self):
-        pool = parallel.ForkPool()
-        pool.run([lambda: 1, lambda: 2, lambda: 3])
-        assert len(pool.last_pids) == 3
-        for pid in pool.last_pids:
-            # already reaped by the pool: a second wait must fail
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-
-    def test_fork_pool_propagates_worker_exceptions(self):
-        def boom():
-            raise ValueError("inside the worker")
-
-        pool = parallel.ForkPool()
-        with pytest.raises(ValueError, match="inside the worker"):
-            pool.run([lambda: 1, boom])
-        for pid in pool.last_pids:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-
-    def test_fork_pool_surfaces_dead_worker_as_crash_error(self):
-        # the hook runs inside the forked child; partition 1 dies
-        # before writing its result frame
-        pool = parallel.ForkPool(
-            child_hook=lambda index: os._exit(9) if index == 1 else None)
-        with pytest.raises(WorkerCrashError, match=r"\[1\]"):
-            pool.run([lambda: "a", lambda: "b", lambda: "c"])
-        assert len(pool.last_pids) == 3
-        for pid in pool.last_pids:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-
 
 class _Square:
     """Picklable task: ships through the resident frame protocol."""
@@ -104,7 +67,7 @@ class _Die:
 
 class TestPersistentPool:
     """The resident protocol itself: frames, reuse, error propagation,
-    crash surfacing, respawn, and the one-shot fallbacks."""
+    crash surfacing, respawn, and the in-process fallback."""
 
     def test_runs_tasks_in_order_and_reuses_residents(self):
         pool = parallel.PersistentForkPool(2)
@@ -180,13 +143,17 @@ class TestPersistentPool:
         finally:
             pool.close()
 
-    def test_unpicklable_tasks_fall_back_to_one_shot_forks(self):
-        pool = parallel.PersistentForkPool(2)
+    def test_unpicklable_tasks_fall_back_to_in_process(self):
+        hooked = []
+        pool = parallel.PersistentForkPool(2, child_hook=hooked.append)
         try:
             value = object()  # unpicklable payload in the closure
-            assert pool.run([lambda: 7, lambda v=value: v is value]) \
-                == [7, True]
-            # the fallback never spawned residents
+            parent = os.getpid()
+            assert pool.run([lambda: 7, lambda v=value: v is value,
+                             os.getpid]) == [7, True, parent]
+            # the tasks ran here, in order, through the same hook; no
+            # resident was spawned and nothing forked
+            assert hooked == [0, 1, 2]
             assert pool.worker_pids() == []
             assert pool.counters()["forks"] == 0
         finally:
@@ -487,9 +454,10 @@ class TestPlannerPlacement:
             database,
             "SELECT t.a, d.label FROM t, d WHERE t.b = d.b")
         assert "HashJoin" in text
-        # build side builds inside the pool workers; probe side gathers
-        assert "Parallel Hash Build: parallel build, workers=2" in text
-        assert text.count("Gather (workers=2)") == 1
+        # not co-partitioned: each scan side gets its own gather and
+        # the hash table builds serially in the parent
+        assert "Parallel Hash Build" not in text
+        assert text.count("Gather (workers=2)") == 2
 
     def test_index_scan_stays_serial(self):
         database = make_db()
@@ -541,12 +509,20 @@ class TestParallelExecution:
 
     def test_worker_crash_aborts_statement_and_recovers(self):
         database = make_db(rows=200)
-        crashing = parallel.ForkPool(
+        crashing = parallel.PersistentForkPool(
+            2, engine=database,
             child_hook=lambda index: os._exit(1) if index else None)
         database.set_parallel_workers(
             2, pool_factory=lambda: crashing, min_rows=0)
         with pytest.raises(WorkerCrashError):
             database.query("SELECT count(*) FROM t")
+        # the crashed resident is reaped with the error; close() reaps
+        # the survivor
+        survivor, crashed = crashing.last_pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(crashed, os.WNOHANG)
+        assert crashing.worker_pids() == [survivor]
+        crashing.close()
         for pid in crashing.last_pids:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)

@@ -13,6 +13,10 @@ compares the served answer with a cache-free recomputation:
 * caches: the server result cache, the columnar scan cache, and the
   plan cache after index DDL, ANALYZE, repartitioning, and dropping
   and recreating a table under a different schema.
+
+The converse holds too: a direct load moves no commit watermark, so a
+transaction whose snapshot predates it must not be served the loaded
+rows by either the scan cache or the result cache.
 """
 
 from __future__ import annotations
@@ -186,3 +190,58 @@ class TestPlanCache:
             assert database.query(SQL) == uncached(database)
         hits, misses = self.counters(database)
         assert misses == 1 and hits == 2 * len(WRITE_PATHS)
+
+
+def test_scan_cache_hides_a_direct_load_from_an_older_snapshot():
+    """A direct heap load at a fresh tick moves no commit watermark, so
+    a transaction whose snapshot predates the load must still not see
+    the loaded rows through a cached segment."""
+    database = Database()
+    database.execute("CREATE TABLE t (a integer)")
+    database.execute("INSERT INTO t VALUES (1), (2)")
+    session = database.create_session("s")
+    database.execute("BEGIN", session=session)
+    sql = "SELECT a FROM t"
+    assert database.query(sql, session=session) == [(1,), (2,)]
+    database.catalog.get_table("t").insert((99,), database.clock.tick())
+    cache = database.scan_cache
+    cache.enabled = False
+    try:
+        expected = database.query(sql, session=session)
+    finally:
+        cache.enabled = True
+    assert expected == [(1,), (2,)]
+    assert database.query(sql, session=session) == expected
+    database.execute("COMMIT", session=session)
+    # the next snapshot sees the load, and the cache serves it again
+    assert database.query(sql, session=session) == [(1,), (2,), (99,)]
+    hits = cache.hits
+    assert database.query(sql, session=session) == [(1,), (2,), (99,)]
+    assert cache.hits == hits + 1
+
+
+def test_result_cache_hides_a_direct_load_from_an_older_snapshot():
+    """Same gap through the server result cache: an autocommit reader
+    caches the post-load answer, which an older snapshot must not be
+    served."""
+    database = Database()
+    database.execute("CREATE TABLE t (a integer)")
+    database.execute("INSERT INTO t VALUES (1), (2)")
+    server = DBServer(database)
+    reader = DBClient(server.transport(), "app", "pid-1")
+    reader.connect()
+    txn = DBClient(server.transport(), "app", "pid-2")
+    txn.connect()
+    sql = "SELECT a FROM t"
+    txn.execute("BEGIN")
+    assert txn.query(sql) == [(1,), (2,)]
+    database.catalog.get_table("t").insert((99,), database.clock.tick())
+    assert reader.query(sql) == [(1,), (2,), (99,)]
+    assert reader.query(sql) == [(1,), (2,), (99,)]
+    hits = server.result_cache.counters()["hits"]
+    assert txn.query(sql) == [(1,), (2,)]
+    assert server.result_cache.counters()["hits"] == hits
+    txn.execute("COMMIT")
+    assert txn.query(sql) == [(1,), (2,), (99,)]
+    reader.close()
+    txn.close()
