@@ -64,6 +64,8 @@ class Catalog:
         # ANALYZE statistics, table name → TableStats (advisory: the
         # planner falls back to rote heuristics for absent entries)
         self.stats: dict[str, TableStats] = {}
+        # table name -> the _saved_stamp its file was last written at
+        self._saved: dict[str, tuple] = {}
         if data_directory is not None:
             for name in data_directory.table_names():
                 self.install_table(data_directory.load_table(name))
@@ -99,6 +101,7 @@ class Catalog:
             raise CatalogError(f"table {name!r} does not exist")
         del self._tables[key]
         self.stats.pop(key, None)
+        self._saved.pop(key, None)
         # disk removal is deferred to flush()/sync_drops(): destroying
         # durable state belongs to the checkpoint, after the DROP has
         # been committed to the WAL — an uncommitted DROP must be
@@ -217,18 +220,41 @@ class Catalog:
     # -- persistence -----------------------------------------------------------
 
     def flush(self) -> None:
-        """Write every table to the data directory (checkpoint) and
-        delete files for tables that were dropped since the last one."""
+        """Checkpoint: write every table whose file is stale to the
+        data directory, then delete files for tables dropped since the
+        last one.
+
+        A table is skipped when its file exists and nothing the file
+        holds has moved since this catalog last wrote it (see
+        :meth:`_saved_stamp`). The first checkpoint after opening a
+        directory therefore rewrites every table."""
         if self.data_directory is None:
             return
         for table in self._tables.values():
-            self.data_directory.save_table(table)
+            if (self._saved.get(table.name) != self._saved_stamp(table)
+                    or not self.data_directory.has_table_file(table.name)):
+                self._save(table)
         self.sync_drops()
 
     def flush_table(self, name: str) -> None:
         if self.data_directory is None:
             return
-        self.data_directory.save_table(self.get_table(name))
+        self._save(self.get_table(name))
+
+    def _save(self, table: HeapTable) -> None:
+        stamp = self._saved_stamp(table)
+        self.data_directory.save_table(table)
+        self._saved[table.name] = stamp
+
+    @staticmethod
+    def _saved_stamp(table: HeapTable) -> tuple:
+        """What a table file depends on: the ``data`` version (rows,
+        row versions), the ``schema`` version (index DDL) and the rowid
+        counter, which a transactional insert advances without moving
+        ``data`` and an aborted one never gives back. A recreated table
+        has a fresh version record, so it never matches an old save."""
+        record = table.version_record
+        return (record.data, record.schema, table.next_rowid)
 
     def sync_drops(self) -> None:
         """Remove on-disk files of tables no longer in the catalog."""

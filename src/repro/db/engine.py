@@ -45,6 +45,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -54,17 +55,26 @@ from repro.db import csvio
 from repro.db import parallel as parmod
 from repro.db.catalog import Catalog
 from repro.db.executor import MaterializedSource
-from repro.db.expressions import Evaluator, bound_parameters
+from repro.db.expressions import (
+    bound_parameters,
+    compile_batch_predicate,
+    compile_expression,
+)
 from repro.db.mvcc import (
     ReadView,
     Session,
     TableOverlay,
     TransactionContext,
 )
-from repro.db.planner import PlannedQuery, plan_select
+from repro.db.planner import (
+    PlannedQuery,
+    conjoin,
+    plan_dml_access,
+    plan_select,
+)
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
 from repro.db.stats import TableStats, compute_table_stats
-from repro.db.vector import BatchOperator
+from repro.db.vector import BATCH_SIZE, BatchOperator
 from repro.db.sql import ast
 from repro.db.sql.params import bind_statement, max_parameter_index
 from repro.db.sql.parser import parse_sql
@@ -1352,12 +1362,11 @@ class Database:
                            for values, lineage in planned.root]
             result.source_tables = planned.source_tables
         else:
-            evaluator = Evaluator(Schema([]))
-            source_rows = []
-            for expression_row in insert.rows:
-                values = tuple(evaluator.evaluate(expression, ())
-                               for expression in expression_row)
-                source_rows.append((values, EMPTY_LINEAGE))
+            empty = Schema([])
+            source_rows = [
+                (tuple(compile_expression(expression, empty)(())
+                       for expression in expression_row), EMPTY_LINEAGE)
+                for expression_row in insert.rows]
         positions = self._column_positions(table, insert.columns)
         tick = self.clock.tick()
         context = session.txn
@@ -1403,40 +1412,64 @@ class Database:
             self, table: HeapTable, where: Optional[ast.Expression]
     ) -> list[tuple[int, tuple, int]]:
         """``(rowid, values, version)`` of the rows a DML statement
-        targets — read through the ambient view, so inside a
-        transaction this is the snapshot merged with the write-set."""
-        evaluator = Evaluator(table.schema.qualified(table.name))
-        matched = []
-        for rowid, values, version in table.scan_versions():
-            if where is None or evaluator.matches(where, values):
-                matched.append((rowid, values, version))
-        return matched
+        targets, in rowid order — read through the ambient view, so
+        inside a transaction this is the snapshot merged with the
+        write-set.
+
+        The rows come from the planner's access path: an IndexScan
+        when a WHERE conjunct probes a hash index, else the heap's
+        version scan. The conjuncts left over are evaluated by the
+        compiled batch predicate, one :data:`BATCH_SIZE` chunk at a
+        time. The scan deliberately bypasses the scan cache: the write
+        that follows would drop a freshly built segment at once.
+        """
+        access, residual = plan_dml_access(table, where, self.catalog)
+        source = (access.scan_versions() if access is not None
+                  else table.scan_versions())
+        if not residual:
+            return list(source)
+        keep = compile_batch_predicate(
+            conjoin(residual), table.schema.qualified(table.name))
+        matched: list[tuple[int, tuple, int]] = []
+        while True:
+            chunk = list(islice(source, BATCH_SIZE))
+            if not chunk:
+                return matched
+            columns = list(zip(*[values for _, values, _ in chunk]))
+            matched.extend(chunk[index]
+                           for index in keep(columns, range(len(chunk))))
 
     def _execute_update(self, update: ast.Update,
                         session: Session) -> StatementResult:
         table = self.catalog.get_table(update.table)
-        evaluator = Evaluator(table.schema.qualified(table.name))
-        assignment_positions = [
-            (table.schema.index_of(name), expression)
+        schema = table.schema.qualified(table.name)
+        assignments = [
+            (table.schema.index_of(name),
+             compile_expression(expression, schema))
             for name, expression in update.assignments]
         matched = self._matching_rows(table, update.where)
         result = StatementResult(kind="update",
                                  source_tables=[table.name])
         if not matched:
             return result
+        # every SET value is computed before the first write, so an
+        # expression error leaves the table untouched
+        new_rows = []
+        for _rowid, old_values, _version in matched:
+            new_values = list(old_values)
+            for position, assign in assignments:
+                new_values[position] = assign(old_values)
+            new_rows.append(tuple(new_values))
         tick = self.clock.tick()
         context = session.txn
-        for rowid, old_values, old_version in matched:
-            new_values = list(old_values)
-            for position, expression in assignment_positions:
-                new_values[position] = evaluator.evaluate(
-                    expression, old_values)
+        for (rowid, _old_values, old_version), new_values in zip(
+                matched, new_rows):
             if context is None:
-                table.update(rowid, tuple(new_values), tick)
+                table.update(rowid, new_values, tick)
                 self._log_put(table, rowid)
             else:
                 self._overlay_update(context, table, rowid, old_version,
-                                     tuple(new_values), tick)
+                                     new_values, tick)
             old_ref = TupleRef(table.name, rowid, old_version)
             new_ref = TupleRef(table.name, rowid, tick)
             result.written.append(new_ref)

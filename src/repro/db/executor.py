@@ -85,11 +85,16 @@ class IndexScan(Operator):
     once against the empty row — the planner guarantees constness —
     and the union of matching rowids is fetched directly. NULL probe
     values are dropped, matching equality/IN semantics (NULL never
-    compares equal).
+    compares equal). ``key_range`` ``(low, high)`` replaces the
+    expressions with every integer key of a closed range — the
+    planner's form of ``int_col BETWEEN low AND high``, which holds
+    exactly for the column values ``low..high`` because an INTEGER
+    column stores only ints and NULLs.
     """
 
     def __init__(self, table: HeapTable, qualifier: str,
-                 index, value_expression, track_lineage: bool) -> None:
+                 index, value_expression, track_lineage: bool,
+                 key_range: tuple[int, int] | None = None) -> None:
         self.table = table
         self.schema = table.schema.qualified(qualifier)
         self.index = index
@@ -100,13 +105,18 @@ class IndexScan(Operator):
         self._value_fns = [exprs.compile_expression(expression, Schema([]))
                            for expression in self.value_expressions]
         self.track_lineage = track_lineage
+        self.key_range = key_range
 
     @property
     def value_expression(self) -> ast.Expression:
         return self.value_expressions[0]
 
-    def _probe_values(self) -> list:
-        """Deduplicated non-NULL constants to probe the index with."""
+    def _probe_values(self) -> list | range:
+        """Deduplicated non-NULL constants to probe the index with
+        (a ``range`` for a key range)."""
+        if self.key_range is not None:
+            low, high = self.key_range
+            return range(low, high + 1)
         values: list = []
         for value_fn in self._value_fns:
             value = value_fn(())
@@ -115,36 +125,38 @@ class IndexScan(Operator):
             values.append(value)
         return values
 
-    def __iter__(self) -> Iterator[Annotated]:
+    def scan_versions(self) -> Iterator[tuple[int, Row, int]]:
+        """``(rowid, values, version)`` of every matching row in rowid
+        order, as the ambient read view sees it — the row source of
+        both this scan and UPDATE/DELETE target matching."""
         probe_values = self._probe_values()
-        name = self.table.name
-        view = self.table.active_view()
-        if view is not None:
+        if self.table.active_view() is not None:
             # hash buckets reflect only committed-latest state; under a
             # snapshot the index degrades to a visible scan + membership
             # filter so the result matches what SeqScan would produce
             if not probe_values:
                 return
             position = self.index.position
-            for rowid, values, version in self.table.scan_versions():
-                if values[position] not in probe_values:
-                    continue
-                if self.track_lineage:
-                    yield values, frozenset((TupleRef(name, rowid,
-                                                      version),))
-                else:
-                    yield values, EMPTY_LINEAGE
+            for entry in self.table.scan_versions():
+                value = entry[1][position]
+                if value is not None and value in probe_values:
+                    yield entry
             return
+        rows = self.table.rows
         versions = self.table.versions
         rowids: set[int] = set()
         for value in probe_values:
             rowids.update(self.index.lookup(value))
         for rowid in sorted(rowids):
-            values = self.table.rows[rowid]
-            if self.track_lineage:
-                yield values, frozenset(
-                    (TupleRef(name, rowid, versions[rowid]),))
-            else:
+            yield rowid, rows[rowid], versions[rowid]
+
+    def __iter__(self) -> Iterator[Annotated]:
+        if self.track_lineage:
+            name = self.table.name
+            for rowid, values, version in self.scan_versions():
+                yield values, frozenset((TupleRef(name, rowid, version),))
+        else:
+            for _rowid, values, _version in self.scan_versions():
                 yield values, EMPTY_LINEAGE
 
 

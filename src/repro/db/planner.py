@@ -50,6 +50,7 @@ from repro.db.executor import (
     StripColumns,
 )
 from repro.db.sql import ast
+from repro.db.storage import HeapTable
 from repro.db.types import Column, Schema, SQLType
 from repro.errors import CatalogError, ExecutionError, SQLSyntaxError
 
@@ -147,7 +148,11 @@ def explain_plan(root: Operator) -> list[str]:
             return f"FusedScanFilterProject ({', '.join(parts)})"
         if isinstance(operator, IndexScan):
             from repro.db.sql.render import render_expression
-            if len(operator.value_expressions) == 1:
+            if operator.key_range is not None:
+                low, high = operator.key_range
+                probe = (f"{operator.index.column} BETWEEN {low} AND "
+                         f"{high}, {high - low + 1} probes")
+            elif len(operator.value_expressions) == 1:
                 probe = (f"{operator.index.column} = "
                          f"{render_expression(operator.value_expression)}")
             else:
@@ -806,24 +811,48 @@ def _indexable_in_list(conjunct: ast.Expression):
     return None
 
 
+def _integer_key_range(conjunct: ast.Expression):
+    """The (column, (low, high)) of a range an index can enumerate.
+
+    Only non-negated ``col BETWEEN <int literal> AND <int literal>``
+    with ``low <= high`` qualifies: parameters, floats, NULL and
+    booleans are not keys an INTEGER column holds, and a reversed
+    range matches nothing, which the scan reports as cheaply.
+    """
+    if (isinstance(conjunct, ast.Between) and not conjunct.negated
+            and isinstance(conjunct.operand, ast.ColumnRef)
+            and isinstance(conjunct.low, ast.Literal)
+            and isinstance(conjunct.high, ast.Literal)
+            and type(conjunct.low.value) is int
+            and type(conjunct.high.value) is int
+            and conjunct.low.value <= conjunct.high.value):
+        return conjunct.operand, (conjunct.low.value, conjunct.high.value)
+    return None
+
+
 def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
                     track_lineage: bool, options: _PlanOptions) -> bool:
-    """Turn a bare SeqScan plus a ``col = constant`` or
-    ``col IN (constants)`` conjunct into an IndexScan when a hash
-    index covers the column.
+    """Turn a bare SeqScan plus a ``col = constant``,
+    ``col IN (constants)`` or ``int_col BETWEEN lo AND hi`` conjunct
+    into an IndexScan when a hash index covers the column. A range
+    probes every key ``lo..hi`` and qualifies only on an INTEGER
+    column, whose values are exactly those keys or NULL.
 
-    With ANALYZE statistics the conversion is cost-gated: per-literal
+    With ANALYZE statistics the conversion is cost-gated: per-key
     probes only win while ``probes + estimated matches`` undercuts a
-    full scan, so an IN list that rivals the table stays on the
-    (fused) sequential scan. The losing path is recorded on the scan
-    node (``cost_note``) so EXPLAIN shows which choice won and why.
-    Without statistics every indexable conjunct converts, as before.
+    full scan, so an IN list or range that rivals the table stays on
+    the (fused) sequential scan. Without statistics every equality and
+    IN conjunct converts, as before, and a range converts while it
+    needs no more probes than the table has live rows. The losing path
+    is recorded on the scan node (``cost_note``) so EXPLAIN shows
+    which choice won and why.
     """
     operator = fragment.operator
     if not isinstance(operator, SeqScan):
         return False
     scan_class = (vector.BatchIndexScan if options.batched
                   else IndexScan)
+    # (column, constant expression(s), integer key range)
     candidates = []
     if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
         for column, constant in ((conjunct.left, conjunct.right),
@@ -831,20 +860,32 @@ def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
             if (isinstance(column, ast.ColumnRef)
                     and isinstance(constant, (ast.Literal,
                                               ast.Parameter))):
-                candidates.append((column, constant))
+                candidates.append((column, constant, None))
+    elif isinstance(conjunct, ast.Between):
+        ranged = _integer_key_range(conjunct)
+        if ranged is not None:
+            column, key_range = ranged
+            candidates.append((column, [], key_range))
     else:
         in_list = _indexable_in_list(conjunct)
         if in_list is not None:
-            candidates.append(in_list)
-    for column, constant in candidates:
-        if not operator.schema.has_column(column.name, column.qualifier):
+            candidates.append((*in_list, None))
+    schema = operator.schema
+    for column, constant, key_range in candidates:
+        if not schema.has_column(column.name, column.qualifier):
             continue
         index = operator.table.index_on(column.name)
         if index is None:
             continue
-        if fragment.est_rows is not None:
+        if key_range is None:
             probes = (len(constant) if isinstance(constant, list)
                       else 1)
+        else:
+            position = schema.index_of(column.name, column.qualifier)
+            if schema.columns[position].sql_type is not SQLType.INTEGER:
+                continue
+            probes = key_range[1] - key_range[0] + 1
+        if fragment.est_rows is not None:
             table_rows = max(fragment.est_rows, 1.0)
             matched = (table_rows
                        * _fragment_selectivity(fragment, conjunct))
@@ -865,14 +906,44 @@ def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
                     f"{matched:.0f} of {table_rows:.0f} rows, "
                     f"{scan_kind} is cheaper")
                 return False
+        elif key_range is not None:
+            live_rows = len(operator.table.rows)
+            if probes > live_rows:
+                operator.cost_note = (
+                    f"{index.name} skipped: {probes} probes for "
+                    f"{live_rows} rows, scan is cheaper")
+                return False
         fragment.operator = scan_class(
             operator.table, operator.qualifier, index, constant,
-            track_lineage)
+            track_lineage, key_range=key_range)
         if fragment.est_rows is not None:
             fragment.operator.cost_note = (
                 f"cost {probe_cost:.0f} < {scan_kind} {scan_cost:.0f}")
         return True
     return False
+
+
+def plan_dml_access(table: HeapTable, where: Optional[ast.Expression],
+                    catalog: Catalog
+                    ) -> tuple[Optional[IndexScan], list[ast.Expression]]:
+    """The access path of an UPDATE or DELETE on ``table``.
+
+    The WHERE conjuncts go through the same index decision a SELECT's
+    pushed-down filters get (:func:`_try_index_scan`, with the same
+    statistics gate and estimate bookkeeping). Returns the IndexScan
+    that won, if any, and the conjuncts it leaves to evaluate on the
+    rows it (or, without one, the full scan) produces.
+    """
+    options = _PlanOptions(batched=False, fuse=False)
+    fragment = _plan_table(ast.TableRef(table.name), catalog, False,
+                           options)
+    residual: list[ast.Expression] = []
+    for conjunct in split_conjuncts(where):
+        if not _try_index_scan(fragment, conjunct, False, options):
+            residual.append(conjunct)
+        _apply_filter_estimate(fragment, conjunct)
+    access = fragment.operator
+    return (access if isinstance(access, IndexScan) else None), residual
 
 
 def _collect_source_tables(sources) -> list[str]:

@@ -685,6 +685,9 @@ class DataDirectory:
             raise CatalogError(f"no stored table {name!r} in {self.path}")
         return HeapTable.deserialize(path.read_text())
 
+    def has_table_file(self, name: str) -> bool:
+        return self.io.exists(self.table_path(name))
+
     def drop_table(self, name: str) -> None:
         path = self.table_path(name)
         if path.exists():

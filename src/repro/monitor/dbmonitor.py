@@ -373,11 +373,9 @@ class _MonitorInterceptor(Interceptor):
             monitor.versions.mark_used(pre_refs, statement_id,
                                        str(self.process.pid))
         if pre_refs:
-            monitor.record_relevant(pre_refs, pre_rows)
-        if result.deleted:
             # deleted rows' values are gone post-execution; reenactment
             # captured them in pre_rows already (same refs)
-            pass
+            monitor.record_relevant(pre_refs, pre_rows)
 
     # -- record mode --------------------------------------------------------------------
 

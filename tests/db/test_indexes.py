@@ -78,6 +78,65 @@ class TestIndexPlanning:
         assert "Filter" in text
 
 
+class TestRangeProbes:
+    """``int_col BETWEEN lo AND hi`` probes every key of the range
+    when a hash index covers an INTEGER column; every other range
+    shape stays on the scan."""
+
+    def test_integer_range_shows_its_probe_count(self, db):
+        db.execute("INSERT INTO t VALUES (5, 1, 'e'), (6, 2, 'f')")
+        text = plan_text(db, "SELECT * FROM t WHERE k BETWEEN 1 AND 5")
+        assert ("IndexScan on t using idx_k "
+                "(k BETWEEN 1 AND 5, 5 probes)") in text
+
+    def test_range_answer_matches_the_scan(self, db):
+        sql = "SELECT id FROM t WHERE k BETWEEN 10 AND 13 ORDER BY id"
+        indexed = db.query(sql)
+        db.execute("DROP INDEX idx_k")
+        assert indexed == db.query(sql) == [(1,), (3,)]
+
+    def test_lineage_through_a_range_probe(self, db):
+        sql = "SELECT id FROM t WHERE k BETWEEN 9 AND 11"
+        assert "IndexScan" in plan_text(db, sql)
+        result = db.execute(sql, provenance=True)
+        assert sorted(ref.rowid for lineage in result.lineages
+                      for ref in lineage) == [1, 3]
+
+    def test_non_integer_column_scans(self, db):
+        db.execute("CREATE TABLE p (pk text PRIMARY KEY, x float)")
+        db.execute("INSERT INTO p VALUES ('1', 1.0), ('3', 3.5)")
+        db.execute("CREATE INDEX idx_pk ON p (pk)")
+        db.execute("CREATE INDEX idx_x ON p (x)")
+        assert "SeqScan" in plan_text(
+            db, "SELECT * FROM p WHERE pk BETWEEN 1 AND 5")
+        assert "IndexScan" not in plan_text(
+            db, "SELECT * FROM p WHERE x BETWEEN 1 AND 5")
+        assert db.query("SELECT x FROM p WHERE x BETWEEN 1 AND 5") == [
+            (1.0,), (3.5,)]
+
+    @pytest.mark.parametrize("where", [
+        "k NOT BETWEEN 1 AND 5",
+        "k BETWEEN $1 AND $2",
+        "k BETWEEN 1 AND $1",
+        "k BETWEEN 1.0 AND 5",
+        "k BETWEEN NULL AND 5",
+        "k BETWEEN 5 AND 1",
+    ])
+    def test_other_range_shapes_scan(self, db, where):
+        text = plan_text(db, f"SELECT * FROM t WHERE {where}")
+        assert "SeqScan" in text and "IndexScan" not in text
+
+    def test_span_larger_than_the_table_scans(self, db):
+        text = plan_text(db, "SELECT * FROM t WHERE k BETWEEN 1 AND 5000")
+        assert "SeqScan" in text and "IndexScan" not in text
+        assert "idx_k skipped: 5000 probes for 4 rows" in text
+
+    def test_prepared_range_bounds_scan_and_answer(self, db):
+        prepared = db.prepare("SELECT id FROM t WHERE k BETWEEN $1 AND $2")
+        assert db.execute_prepared(prepared, (10, 20)).rows == [
+            (1,), (2,), (3,)]
+
+
 class TestIndexCorrectness:
     def test_index_scan_results_match_seq_scan(self, db):
         indexed = db.query("SELECT id FROM t WHERE k = 10 ORDER BY id")

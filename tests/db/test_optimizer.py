@@ -294,6 +294,27 @@ class TestIndexVersusScan:
         assert db.query(sql) == [(50,)]
 
 
+class TestRangeProbeGate:
+    def test_analyze_flips_a_wide_range_back_to_the_scan(self):
+        db = Database()
+        db.execute("CREATE TABLE t (k integer, v integer)")
+        bulk_insert(db, "t", [(k, k % 7) for k in range(200)])
+        db.execute("CREATE INDEX idx_k ON t (k)")
+        narrow = "SELECT v FROM t WHERE k BETWEEN 10 AND 14"
+        wide = "SELECT v FROM t WHERE k BETWEEN 0 AND 150"
+        # rote planner: any range with no more probes than rows probes
+        assert "IndexScan" in explain(db, narrow)
+        assert "IndexScan" in explain(db, wide)
+        expected = sorted(db.query(wide))
+        db.execute("ANALYZE t")
+        plan = explain(db, narrow)
+        assert "5 probes" in plan and "cost" in plan
+        plan = explain(db, wide)
+        assert "IndexScan" not in plan
+        assert "idx_k skipped: 151 probe(s)" in plan
+        assert sorted(db.query(wide)) == expected
+
+
 class TestPlanCacheInvalidation:
     def test_re_analyze_after_skew_shift_changes_the_cached_plan(self):
         """Satellite regression: the plan cache key must include a

@@ -12,7 +12,11 @@ compares the served answer with a cache-free recomputation:
   ``truncate``;
 * caches: the server result cache, the columnar scan cache, and the
   plan cache after index DDL, ANALYZE, repartitioning, and dropping
-  and recreating a table under a different schema.
+  and recreating a table under a different schema;
+* the checkpoint, which skips a table whose file is current: each
+  write path above, plus a rolled-back transactional insert (which
+  reserves a rowid without touching the heap), must make the next
+  checkpoint rewrite that table to exactly its serialized bytes.
 
 The converse holds too: a direct load moves no commit watermark, so a
 transaction whose snapshot predates it must not be served the loaded
@@ -21,10 +25,13 @@ rows by either the scan cache or the result cache.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.db import Database, DBClient, DBServer
 from repro.db import parallel
+from repro.db.fileio import FileIO
 
 SQL = "SELECT count(*), sum(k) FROM t"
 
@@ -245,3 +252,47 @@ def test_result_cache_hides_a_direct_load_from_an_older_snapshot():
     assert txn.query(sql) == [(1,), (2,), (99,)]
     reader.close()
     txn.close()
+
+
+def aborted_insert(database):
+    """A rolled-back transactional insert: the heap never sees the
+    row, but the reserved rowid stays reserved."""
+    database.execute("BEGIN")
+    database.execute("INSERT INTO t VALUES (70, 'aborted')")
+    database.execute("ROLLBACK")
+
+
+class RecordingIO(FileIO):
+    """Records the name of every table file written."""
+
+    def __init__(self) -> None:
+        self.saved: list[str] = []
+
+    def atomic_write_bytes(self, path, data, point="io.atomic") -> None:
+        if point == "checkpoint.table":
+            self.saved.append(Path(path).name)
+        super().atomic_write_bytes(path, data, point=point)
+
+
+@pytest.mark.parametrize("write", WRITE_PATHS + [aborted_insert],
+                         ids=lambda fn: fn.__name__)
+def test_checkpoint_never_skips_a_changed_table(tmp_path, write):
+    io = RecordingIO()
+    database = Database(data_directory=tmp_path / "d", io=io)
+    database.execute("CREATE TABLE t (k integer, label text)")
+    database.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+    database.execute("CREATE TABLE u (k integer)")
+    database.execute("INSERT INTO u VALUES (1)")
+    database.checkpoint()
+    io.saved.clear()
+    database.checkpoint()
+    assert io.saved == []  # both tables skipped
+    table = database.catalog.get_table("t")
+    if write is aborted_insert:
+        write(database)
+    else:
+        write(table)
+    database.checkpoint()
+    assert io.saved == ["t.tbl"]
+    assert ((tmp_path / "d" / "t.tbl").read_text()
+            == table.serialize())
