@@ -20,9 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro.db import Database, DBClient, DBServer
-from repro.db.vector import row_at_a_time_plans
 
-from benchmarks.conftest import BENCH_CONFIG, RESULTS_DIR, fresh_world, timed
+from benchmarks.conftest import fresh_world, timed
 
 
 @pytest.fixture(scope="module")
@@ -122,55 +121,12 @@ def test_wire_tax(benchmark, world, report):
 
 
 # ---------------------------------------------------------------------------
-# fast path: compiled expressions + plan cache
+# fast path: plan cache
 # ---------------------------------------------------------------------------
-
-JOIN_AGG = ("SELECT l_returnflag, count(*), sum(l_extendedprice), "
-            "avg(l_quantity) FROM lineitem l, orders o "
-            "WHERE l.l_orderkey = o.o_orderkey AND l_quantity > 10 "
-            "GROUP BY l_returnflag ORDER BY l_returnflag")
 
 
 def _best_of(fn, repeats: int = 5) -> float:
     return min(timed(fn)[0] for _ in range(repeats))
-
-
-def test_compiled_vs_interpreted(world, report):
-    """The tentpole claim: closure-compiled expressions beat the seed
-    AST interpreter on a TPC-H-style join+aggregate. Both paths run
-    the identical plan shape — ``interpreted_expressions()`` swaps
-    only the per-row evaluation strategy — and both get a cached plan,
-    so the measured gap is pure expression-evaluation cost."""
-    from repro.db import expressions as exprs
-
-    database = world.database
-    database.plan_cache.clear()
-    compiled_rows = database.query(JOIN_AGG)  # warm the plan cache
-    compiled = _best_of(lambda: database.query(JOIN_AGG))
-    with exprs.interpreted_expressions():
-        database.plan_cache.clear()  # force a re-plan in interpreted mode
-        interpreted_rows = database.query(JOIN_AGG)
-        interpreted = _best_of(lambda: database.query(JOIN_AGG))
-    database.plan_cache.clear()  # drop the interpreted plan
-    assert compiled_rows == interpreted_rows
-
-    speedup = interpreted / max(compiled, 1e-9)
-    report.add(
-        "Microbench — compiled expressions vs interpreter (seconds)",
-        ("query", "interpreted", "compiled", "speedup"),
-        ("join+aggregate", interpreted, compiled, f"{speedup:.2f}x"))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "microbench_engine.json").write_text(json.dumps({
-        "query": JOIN_AGG,
-        "scale_factor": BENCH_CONFIG.scale_factor,
-        "interpreted_seconds": interpreted,
-        "compiled_seconds": compiled,
-        "speedup": speedup,
-        "plan_cache": database.plan_cache.counters(),
-    }, indent=2) + "\n")
-    assert compiled < interpreted, (
-        f"compiled path ({compiled:.6f}s) is not faster than the "
-        f"interpreter ({interpreted:.6f}s)")
 
 
 def test_plan_cache_skips_parse_and_plan(world, report):
@@ -200,16 +156,13 @@ def test_plan_cache_skips_parse_and_plan(world, report):
 
 
 # ---------------------------------------------------------------------------
-# batch pipeline: vectorized vs tuple-at-a-time, with a regression gate
+# batch pipeline throughput, with a regression gate
 # ---------------------------------------------------------------------------
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 BENCH_ROWS = 100_000
 # CI fails when throughput drops below 70% of the committed trajectory
 REGRESSION_FLOOR = 0.7
-# and the vectorized engine must beat tuple-at-a-time by at least this
-# much in-run (the committed file records the real, larger margin)
-SPEEDUP_FLOOR = 1.5
 
 PIPELINE_QUERIES = {
     "scan_filter_project":
@@ -241,51 +194,28 @@ def pipeline_db():
     return database
 
 
-def _time_modes(database, sql):
-    """Best-of timings for the vectorized and tuple engines, each with
-    a warm plan cache for its own mode."""
-    database.plan_cache.clear()
-    batch_rows = database.query(sql)
-    batch_seconds = _best_of(lambda: database.query(sql), repeats=3)
-    with row_at_a_time_plans():
-        database.plan_cache.clear()  # re-plan with row operators
-        tuple_rows = database.query(sql)
-        tuple_seconds = _best_of(lambda: database.query(sql), repeats=3)
-    database.plan_cache.clear()  # drop the row-mode plan
-    assert batch_rows is not tuple_rows
-    return batch_seconds, tuple_seconds, batch_rows, tuple_rows
-
-
-def test_batch_vs_tuple_pipeline(pipeline_db, report):
-    """The tentpole claim: batch execution with fused kernels beats the
-    tuple-at-a-time Volcano loop on scan-heavy pipelines. Records the
-    per-query throughput trajectory in BENCH_engine.json (refresh with
-    ``REPRO_BENCH_UPDATE=1``) and gates on it: a >30% throughput
-    regression against the committed numbers fails CI."""
+def test_batch_pipeline_trajectory(pipeline_db, report):
+    """Batch execution with fused kernels on scan-heavy pipelines.
+    Records the per-query throughput trajectory in BENCH_engine.json
+    (refresh with ``REPRO_BENCH_UPDATE=1``) and gates on it: a >30%
+    throughput regression against the committed numbers fails CI."""
     committed = (json.loads(BENCH_FILE.read_text())
                  if BENCH_FILE.exists() else None)
     measured: dict[str, dict] = {}
     failures = []
     for name, sql in PIPELINE_QUERIES.items():
-        batch_seconds, tuple_seconds, batch_rows, tuple_rows = (
-            _time_modes(pipeline_db, sql))
-        assert sorted(batch_rows) == sorted(tuple_rows)
-        speedup = tuple_seconds / max(batch_seconds, 1e-9)
+        pipeline_db.plan_cache.clear()
+        assert pipeline_db.query(sql)
+        batch_seconds = _best_of(lambda: pipeline_db.query(sql),
+                                 repeats=3)
         measured[name] = {
-            "tuple_seconds": round(tuple_seconds, 6),
             "batch_seconds": round(batch_seconds, 6),
-            "tuple_rows_per_s": round(BENCH_ROWS / tuple_seconds),
             "batch_rows_per_s": round(BENCH_ROWS / batch_seconds),
-            "speedup": round(speedup, 2),
         }
         report.add(
-            "Microbench — batch pipeline vs tuple-at-a-time (seconds)",
-            ("query", "tuple", "batch", "speedup"),
-            (name, tuple_seconds, batch_seconds, f"{speedup:.2f}x"))
-        if speedup < SPEEDUP_FLOOR:
-            failures.append(
-                f"{name}: batch engine only {speedup:.2f}x over tuple "
-                f"engine (floor {SPEEDUP_FLOOR}x)")
+            "Microbench — batch pipeline (seconds)",
+            ("query", "batch", "rows_per_s"),
+            (name, batch_seconds, measured[name]["batch_rows_per_s"]))
         if committed is not None:
             baseline = committed["queries"][name]["batch_rows_per_s"]
             ratio = measured[name]["batch_rows_per_s"] / baseline

@@ -54,7 +54,7 @@ from repro.clockwork import LogicalClock
 from repro.db import csvio
 from repro.db import parallel as parmod
 from repro.db.catalog import Catalog
-from repro.db.executor import MaterializedSource
+from repro.db.executor import BATCH_SIZE
 from repro.db.expressions import (
     bound_parameters,
     compile_batch_predicate,
@@ -74,7 +74,6 @@ from repro.db.planner import (
 )
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
 from repro.db.stats import TableStats, compute_table_stats
-from repro.db.vector import BATCH_SIZE, BatchOperator
 from repro.db.sql import ast
 from repro.db.sql.params import bind_statement, max_parameter_index
 from repro.db.sql.parser import parse_sql
@@ -137,6 +136,9 @@ class StatementResult:
 
 # data writes never reshape a plan, so "data" is deliberately absent
 _PLAN_INPUTS = attrgetter("schema", "stats", "partition")
+
+# marks a write-set entry that did not exist before a statement
+_ABSENT = object()
 
 
 class PlanCache:
@@ -360,7 +362,7 @@ class Cursor:
             self._context = context
             self._view = ReadView(context.snapshot, context,
                                   database.mvcc)
-            self._iterator = self._produce(planned.root)
+            self._iterator = iter(planned.root)
 
     @property
     def defunct(self) -> bool:
@@ -368,18 +370,6 @@ class Cursor:
         has ended — the server reaps such cursors."""
         return (self._owns_txn_id is None and self._context is not None
                 and self.session.txn is not self._context)
-
-    @staticmethod
-    def _produce(root) -> Iterator[tuple[tuple, frozenset]]:
-        if isinstance(root, BatchOperator):
-            for batch in root.batches():
-                rows = batch.rows()
-                lineages = batch.gathered_lineages()
-                if lineages is None:
-                    lineages = [EMPTY_LINEAGE] * len(rows)
-                yield from zip(rows, lineages)
-        else:
-            yield from root
 
     def fetch(self, max_rows: int) -> tuple[list[tuple], list[frozenset]]:
         """Pull up to ``max_rows`` more rows (with their lineages);
@@ -1259,7 +1249,7 @@ class Database:
     def _materialize_root(self, root) -> tuple[list[tuple], list[frozenset]]:
         """Pull an operator tree to completion.
 
-        Batch plans drain whole :class:`RowBatch`es — the result
+        Plans drain whole :class:`RowBatch`es — the result
         rows/lineages are identical to row iteration, without paying a
         generator round-trip per tuple. An installed statement
         deadline (:meth:`statement_deadline`) is checked between
@@ -1268,26 +1258,15 @@ class Database:
         rows: list[tuple] = []
         lineages: list[frozenset] = []
         check = self._deadline is not None
-        if isinstance(root, BatchOperator):
-            for batch in root.batches():
-                if check:
-                    self._check_deadline()
-                rows.extend(batch.rows())
-                gathered = batch.gathered_lineages()
-                if gathered is None:
-                    lineages.extend([EMPTY_LINEAGE] * len(batch))
-                else:
-                    lineages.extend(gathered)
-        else:
-            pending = 0
-            for values, lineage in root:
-                rows.append(values)
-                lineages.append(lineage)
-                if check:
-                    pending += 1
-                    if pending >= 1024:
-                        pending = 0
-                        self._check_deadline()
+        for batch in root.batches():
+            if check:
+                self._check_deadline()
+            rows.extend(batch.rows())
+            gathered = batch.gathered_lineages()
+            if gathered is None:
+                lineages.extend([EMPTY_LINEAGE] * len(batch))
+            else:
+                lineages.extend(gathered)
         return rows, lineages
 
     def _run_planned_select(self, planned: PlannedQuery) -> StatementResult:
@@ -1370,17 +1349,33 @@ class Database:
         positions = self._column_positions(table, insert.columns)
         tick = self.clock.tick()
         context = session.txn
-        for values, lineage in source_rows:
-            full_values = self._spread_values(table, positions, values)
-            if context is None:
-                rowid = table.insert(full_values, tick)
-                self._log_put(table, rowid)
-            else:
-                rowid = self._overlay_insert(context, table,
-                                             full_values, tick)
-            ref = TupleRef(table.name, rowid, tick)
-            result.written.append(ref)
-            result.written_lineage[ref] = lineage
+        written: list[int] = []
+        try:
+            for values, lineage in source_rows:
+                full_values = self._spread_values(table, positions, values)
+                if context is None:
+                    rowid = table.insert(full_values, tick)
+                    written.append(rowid)
+                    self._log_put(table, rowid)
+                else:
+                    rowid = self._overlay_insert(context, table,
+                                                 full_values, tick)
+                    written.append(rowid)
+                ref = TupleRef(table.name, rowid, tick)
+                result.written.append(ref)
+                result.written_lineage[ref] = lineage
+        except Exception:
+            # a later row failed (say, on its primary key): take the
+            # earlier rows back, newest first, so the statement leaves
+            # no effect; their WAL records go with the aborted batch
+            for rowid in reversed(written):
+                if context is None:
+                    table.delete(rowid)
+                else:
+                    overlay = context.overlay_for(table.name)
+                    del overlay.upserts[rowid]
+                    del overlay.base_versions[rowid]
+            raise
         result.rowcount = len(source_rows)
         return result
 
@@ -1462,18 +1457,41 @@ class Database:
             new_rows.append(tuple(new_values))
         tick = self.clock.tick()
         context = session.txn
-        for (rowid, _old_values, old_version), new_values in zip(
-                matched, new_rows):
-            if context is None:
-                table.update(rowid, new_values, tick)
-                self._log_put(table, rowid)
-            else:
-                self._overlay_update(context, table, rowid, old_version,
-                                     new_values, tick)
-            old_ref = TupleRef(table.name, rowid, old_version)
-            new_ref = TupleRef(table.name, rowid, tick)
-            result.written.append(new_ref)
-            result.written_lineage[new_ref] = frozenset((old_ref,))
+        overlay = (context.overlay_for(table.name, create=True)
+                   if context is not None else None)
+        # what each write replaced, to take it back if a later row
+        # fails: the heap row, or the row's write-set entries
+        undo: list[tuple] = []
+        try:
+            for (rowid, old_values, old_version), new_values in zip(
+                    matched, new_rows):
+                if overlay is None:
+                    table.update(rowid, new_values, tick)
+                    undo.append((rowid, old_values, old_version))
+                    self._log_put(table, rowid)
+                else:
+                    undo.append((rowid, overlay.upserts.get(rowid),
+                                 overlay.base_versions.get(rowid, _ABSENT)))
+                    self._overlay_update(context, table, rowid,
+                                         old_version, new_values, tick)
+                old_ref = TupleRef(table.name, rowid, old_version)
+                new_ref = TupleRef(table.name, rowid, tick)
+                result.written.append(new_ref)
+                result.written_lineage[new_ref] = frozenset((old_ref,))
+        except Exception:
+            for rowid, before, version in reversed(undo):
+                if overlay is None:
+                    table.revert_update(rowid, before, version, tick)
+                    continue
+                if before is None:
+                    overlay.upserts.pop(rowid, None)
+                else:
+                    overlay.upserts[rowid] = before
+                if version is _ABSENT:
+                    overlay.base_versions.pop(rowid, None)
+                else:
+                    overlay.base_versions[rowid] = version
+            raise
         result.rowcount = len(matched)
         return result
 

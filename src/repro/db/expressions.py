@@ -1,26 +1,31 @@
 """Expression evaluation with SQL three-valued logic.
 
-Two evaluation strategies share one set of semantics:
+The engine evaluates every expression through compiled closures:
 
-* :class:`Evaluator` interprets an AST expression against rows,
-  re-walking the tree per row. It remains the reference implementation
-  and the path used for one-shot evaluation (INSERT literals, UPDATE
-  assignments, WAL replay).
 * :func:`compile_expression` lowers an AST once into nested Python
-  closures — column references become tuple indexing, constants are
-  bound, comparisons and arithmetic become direct operator calls — so
-  the per-row cost is a chain of function calls with no dispatch on
-  node types. The executor's operators compile their expressions once
-  in ``__init__`` and call the closures per row.
+  closures over one row — column references become tuple indexing,
+  constants are bound, comparisons and arithmetic become direct
+  operator calls — so the per-row cost is a chain of function calls
+  with no dispatch on node types. Join residuals, aggregate outputs,
+  HAVING, INSERT values and UPDATE assignments use these.
+* :func:`compile_batch_expression` / :func:`compile_batch_predicate`
+  (and the fused Scan→Filter→Project kernel) lower the same AST into
+  closures over column vectors and a selection vector; the executor's
+  batch operators compile them once in ``__init__``.
 
-Both paths implement identical semantics: NULL (``None``) propagates
+:class:`Evaluator` interprets an AST against one row, re-walking the
+tree each time. No plan calls it: it is the reference implementation
+that the tests compare both compiled forms against, value for value
+and error for error.
+
+All three implement identical semantics: NULL (``None``) propagates
 through arithmetic and comparisons; ``AND``/``OR`` follow Kleene
 logic; filters treat an unknown result as false.
 
 Aggregate functions are *not* evaluated here — the aggregate operator in
 :mod:`repro.db.executor` drives :class:`Accumulator` objects created by
-:func:`make_accumulator` and evaluates the aggregate's argument
-expression per input row. Aggregate *results* flow back into compiled
+:func:`make_accumulator` and feeds them the aggregate's argument
+vector per batch. Aggregate *results* flow back into compiled
 select-list/HAVING expressions through :class:`BindingSlots`.
 """
 
@@ -525,9 +530,12 @@ def _arith(op: str, left: Any, right: Any) -> Any:
 class Evaluator:
     """Evaluates expressions against rows of a fixed schema.
 
-    Aggregate function calls can be *pre-bound* to computed values via
-    ``bindings`` (used by the aggregate operator to substitute aggregate
-    results when evaluating HAVING / select-list expressions).
+    The reference interpreter: no plan calls it; tests check the
+    compiled row closures and batch kernels against it. Aggregate
+    function calls can be *pre-bound* to computed values via
+    ``bindings`` (:meth:`BindingSlots.as_bindings` supplies the slots
+    an aggregate operator would bind for HAVING / select-list
+    expressions).
     """
 
     def __init__(self, schema: Schema,
@@ -704,8 +712,9 @@ class BindingSlots:
 
 
 class _SlotView:
-    """A live mapping view of :class:`BindingSlots` for the interpreter
-    fallback (duck-types the ``bindings`` dict an Evaluator expects)."""
+    """A live mapping view of :class:`BindingSlots` for the reference
+    interpreter (duck-types the ``bindings`` dict an Evaluator
+    expects)."""
 
     def __init__(self, slots: BindingSlots) -> None:
         self._slots = slots
@@ -748,23 +757,6 @@ def parameter_value(index: int) -> Any:
     return values[index - 1]
 
 
-# Benchmarks flip this to quantify the compiled path against the
-# interpreter on identical plans; production code never touches it.
-_INTERPRET_ONLY = False
-
-
-@contextmanager
-def interpreted_expressions():
-    """Force operators planned inside the block onto the interpreter."""
-    global _INTERPRET_ONLY
-    previous = _INTERPRET_ONLY
-    _INTERPRET_ONLY = True
-    try:
-        yield
-    finally:
-        _INTERPRET_ONLY = previous
-
-
 RowFunction = Callable[[tuple], Any]
 
 _COMPARISONS: dict[str, Callable[[Any, Any], Any]] = {
@@ -790,10 +782,6 @@ def compile_expression(expression: ast.Expression, schema: Schema,
     Name-resolution errors (unknown/ambiguous columns) surface at
     compile time — i.e. at plan time — instead of on the first row.
     """
-    if _INTERPRET_ONLY:
-        evaluator = Evaluator(
-            schema, slots.as_bindings() if slots is not None else None)
-        return lambda row: evaluator.evaluate(expression, row)
     return _compile(expression, schema, slots)
 
 
@@ -1033,7 +1021,7 @@ def _compile_case(node: ast.CaseWhen, schema: Schema,
 
 # -- batch compilation ---------------------------------------------------------
 #
-# The vectorized executor evaluates expressions one *batch* at a time:
+# The executor evaluates expressions one *batch* at a time:
 # a batch is a list of column vectors plus a selection vector ``sel``
 # of row positions still alive within those vectors. A batch-compiled
 # expression maps (columns, sel) -> one output value per sel entry.
@@ -1079,14 +1067,6 @@ def compile_batch_expression(expression: ast.Expression, schema: Schema,
     value per entry of ``sel``, equal to what the row-compiled
     expression yields on the corresponding row.
     """
-    if _INTERPRET_ONLY:
-        evaluator = Evaluator(
-            schema, slots.as_bindings() if slots is not None else None)
-
-        def interpret_batch(columns: list, sel: Any) -> list:
-            return [evaluator.evaluate(expression, row)
-                    for row in _rows_at(columns, sel)]
-        return interpret_batch
     return _compile_batch(expression, schema, slots)
 
 
@@ -1096,10 +1076,9 @@ def compile_batch_predicate(expression: ast.Expression, schema: Schema,
     """Filter form of :func:`compile_batch_expression`: the closure
     returns the *refined selection vector* — the subset of ``sel``
     whose rows evaluate to SQL TRUE (unknown counts as false)."""
-    if not _INTERPRET_ONLY:
-        selector = _compile_batch_selector(expression, schema, slots)
-        if selector is not None:
-            return selector
+    selector = _compile_batch_selector(expression, schema, slots)
+    if selector is not None:
+        return selector
     fn = compile_batch_expression(expression, schema, slots)
 
     def refine(columns: list, sel: Any) -> list:

@@ -36,42 +36,25 @@ from repro.db.catalog import Catalog
 from repro.db.executor import (
     Distinct,
     Filter,
-    Gather,
+    FusedScanFilterProject,
     GroupAggregate,
     HashJoin,
     IndexScan,
     Instrumented,
     Limit,
+    MaterializedSource,
     NestedLoopJoin,
     Operator,
     Project,
     SeqScan,
     Sort,
     StripColumns,
+    Union,
 )
 from repro.db.sql import ast
 from repro.db.storage import HeapTable
 from repro.db.types import Column, Schema, SQLType
 from repro.errors import CatalogError, ExecutionError, SQLSyntaxError
-
-
-@dataclass
-class _PlanOptions:
-    """How aggressively to vectorize the emitted plan.
-
-    ``batched`` selects the batch operator classes; ``fuse``
-    additionally collapses Scan→Filter→Project chains into
-    :class:`repro.db.vector.FusedScanFilterProject`. EXPLAIN ANALYZE
-    plans set ``fuse=False`` so per-operator attribution survives.
-    """
-
-    batched: bool
-    fuse: bool
-
-
-def _plan_options(fuse: bool) -> _PlanOptions:
-    batched = vector.vectorized_enabled()
-    return _PlanOptions(batched=batched, fuse=fuse and batched)
 
 
 @dataclass
@@ -113,25 +96,19 @@ def explain_plan(root: Operator) -> list[str]:
         return describe_bare(operator) + suffix
 
     def describe_bare(operator: Operator) -> str:
-        # batch operators subclass their row twins, so every branch
-        # below covers both engines; the default name drops the
-        # "Batch" prefix for the same reason
-        name = type(operator).__name__
-        if name.startswith("Batch"):
-            name = name[len("Batch"):]
-        if isinstance(operator, Gather):
-            if isinstance(operator, vector.BatchAggregateGather):
+        if isinstance(operator, vector.Exchange):
+            if isinstance(operator, vector.AggregateGather):
                 template = operator.template
                 return (f"AggregateGather (workers={operator.workers}, "
                         f"{len(template.group_expressions)} keys, "
                         f"{len(template.aggregate_calls)} aggregates)")
-            if isinstance(operator, vector.BatchParallelSort):
+            if isinstance(operator, vector.ParallelSort):
                 note = (f", top-k={operator.ship_limit}"
                         if operator.ship_limit is not None else "")
                 return (f"Parallel Sort (workers={operator.workers}"
                         f"{note}) on {operator.keys}")
             return f"Gather (workers={operator.workers})"
-        if isinstance(operator, vector.BatchParallelHashJoin):
+        if isinstance(operator, vector.ParallelHashJoin):
             from repro.db.sql.render import render_expression
             keys = " AND ".join(
                 f"{render_expression(l)} = {render_expression(r)}"
@@ -141,7 +118,7 @@ def explain_plan(root: Operator) -> list[str]:
                     f"build={operator.build_side}) on {keys} "
                     f"[Parallel Hash Build: co-partitioned, "
                     f"workers={operator.workers}]")
-        if isinstance(operator, vector.FusedScanFilterProject):
+        if isinstance(operator, FusedScanFilterProject):
             parts = [f"{len(operator.predicates)} predicates"]
             if operator.projections is not None:
                 parts.append(f"{len(operator.projections)} outputs")
@@ -187,13 +164,13 @@ def explain_plan(root: Operator) -> list[str]:
             return f"Sort on {operator.keys}"
         if isinstance(operator, Limit):
             return f"Limit {operator.limit} offset {operator.offset}"
-        return name
+        return type(operator).__name__
 
     def walk(operator: Operator, depth: int) -> None:
         lines.append("  " * depth + describe(operator))
         if isinstance(operator, Instrumented):
             operator = operator.inner
-        if isinstance(operator, Gather):
+        if isinstance(operator, vector.Exchange):
             # per-partition measurements come back from the workers
             # themselves (child-process counters cannot propagate), so
             # they render as annotation lines under the gather, above
@@ -208,7 +185,7 @@ def explain_plan(root: Operator) -> list[str]:
                           f"time={entry['seconds'] * 1000.0:.3f} ms")
             walk(operator.template, depth + 1)
             return
-        if isinstance(operator, vector.BatchParallelHashJoin):
+        if isinstance(operator, vector.ParallelHashJoin):
             stats = operator.build_partition_stats
             if stats:
                 for entry in stats:
@@ -265,12 +242,9 @@ def analyze_stats(root: Operator) -> list[dict]:
             rows = operator.rows
             seconds = operator.total_seconds
             loops = operator.loops
-            batches = getattr(operator, "batches_produced", None)
-        name = type(inner).__name__
-        if name.startswith("Batch"):
-            name = name[len("Batch"):]
+            batches = operator.batches_produced
         entry = {
-            "operator": name,
+            "operator": type(inner).__name__,
             "depth": depth,
             "rows": rows,
             "seconds": seconds,
@@ -281,14 +255,14 @@ def analyze_stats(root: Operator) -> list[dict]:
         estimate = getattr(inner, "est_rows", None)
         if estimate is not None:
             entry["est_rows"] = round(estimate)
-        if isinstance(inner, Gather):
+        if isinstance(inner, vector.Exchange):
             entry["workers"] = inner.workers
             if inner.partition_stats is not None:
                 entry["partitions"] = list(inner.partition_stats)
             entries.append(entry)
             walk(inner.template, depth + 1)
             return
-        if isinstance(inner, vector.BatchParallelHashJoin):
+        if isinstance(inner, vector.ParallelHashJoin):
             entry["workers"] = inner.workers
             entry["join_mode"] = "co-partitioned"
             if inner.build_partition_stats is not None:
@@ -427,11 +401,10 @@ class _SourceSet:
             self.operator.est_rows = self.est_rows
 
 
-def _plan_table(ref: ast.TableRef, catalog: Catalog, track_lineage: bool,
-                options: _PlanOptions) -> _SourceSet:
+def _plan_table(ref: ast.TableRef, catalog: Catalog,
+                track_lineage: bool) -> _SourceSet:
     table = catalog.get_table(ref.name)
-    scan_class = vector.BatchSeqScan if options.batched else SeqScan
-    scan = scan_class(table, ref.effective_alias, track_lineage)
+    scan = SeqScan(table, ref.effective_alias, track_lineage)
     alias = ref.effective_alias.lower()
     table_stats = catalog.stats_for(table.name)
     # the estimate starts from the session-visible count (committed
@@ -530,21 +503,18 @@ def _cross_estimate(left: _SourceSet,
 
 
 def _filtered(operator: Operator, conjunct: ast.Expression,
-              options: _PlanOptions) -> Operator:
-    """Apply a predicate: fuse onto a batch scan when allowed, else
-    stack the engine-appropriate Filter operator."""
-    if options.fuse:
-        if (isinstance(operator, vector.FusedScanFilterProject)
+              fuse: bool) -> Operator:
+    """Apply a predicate: fuse onto a scan when allowed, else stack a
+    Filter operator."""
+    if fuse:
+        if (isinstance(operator, FusedScanFilterProject)
                 and operator.projections is None):
             operator.add_predicate(conjunct)
             return operator
-        if isinstance(operator, (vector.BatchSeqScan,
-                                 vector.BatchIndexScan)):
-            fused = vector.FusedScanFilterProject(operator)
+        if isinstance(operator, (SeqScan, IndexScan)):
+            fused = FusedScanFilterProject(operator)
             fused.add_predicate(conjunct)
             return fused
-    if options.batched:
-        return vector.BatchFilter(operator, conjunct)
     return Filter(operator, conjunct)
 
 
@@ -586,12 +556,10 @@ def _choose_build_side(kind: str, left: _SourceSet,
 def _make_hash_join(left: _SourceSet, right: _SourceSet,
                     left_keys: list[ast.Expression],
                     right_keys: list[ast.Expression], kind: str,
-                    residual: Optional[ast.Expression],
-                    options: _PlanOptions) -> _SourceSet:
+                    residual: Optional[ast.Expression]) -> _SourceSet:
     build_side = _choose_build_side(kind, left, right)
-    join_class = vector.BatchHashJoin if options.batched else HashJoin
-    operator = join_class(left.operator, right.operator, left_keys,
-                          right_keys, kind, residual, build_side)
+    operator = HashJoin(left.operator, right.operator, left_keys,
+                        right_keys, kind, residual, build_side)
     est = _join_estimate(left, right, list(zip(left_keys, right_keys)))
     if est is not None and kind == "left":
         # preserved-side rows survive unmatched: never below |L|
@@ -599,16 +567,14 @@ def _make_hash_join(left: _SourceSet, right: _SourceSet,
     return _merge_sets(left, right, operator, est)
 
 
-def _plan_join_source(source, catalog: Catalog, track_lineage: bool,
-                      options: _PlanOptions) -> _SourceSet:
+def _plan_join_source(source, catalog: Catalog,
+                      track_lineage: bool) -> _SourceSet:
     """Plan a FROM entry, which may be a TableRef or an explicit Join."""
     if isinstance(source, ast.TableRef):
-        return _plan_table(source, catalog, track_lineage, options)
+        return _plan_table(source, catalog, track_lineage)
     if isinstance(source, ast.Join):
-        left = _plan_join_source(source.left, catalog, track_lineage,
-                                 options)
-        right = _plan_table(source.right, catalog, track_lineage,
-                            options)
+        left = _plan_join_source(source.left, catalog, track_lineage)
+        right = _plan_table(source.right, catalog, track_lineage)
         if source.kind == "cross" or source.condition is None:
             operator: Operator = NestedLoopJoin(
                 left.operator, right.operator, None, "cross")
@@ -620,8 +586,7 @@ def _plan_join_source(source, catalog: Catalog, track_lineage: bool,
             left_keys = [pair[0] for pair in equi]
             right_keys = [pair[1] for pair in equi]
             return _make_hash_join(left, right, left_keys, right_keys,
-                                   source.kind, conjoin(residual),
-                                   options)
+                                   source.kind, conjoin(residual))
         operator = NestedLoopJoin(left.operator, right.operator,
                                   source.condition, source.kind)
         return _merge_sets(left, right, operator,
@@ -696,7 +661,7 @@ def _as_equi_pair(conjunct: ast.Expression, left: _SourceSet,
 
 
 def _plan_from_where(select: ast.Select, catalog: Catalog,
-                     track_lineage: bool, options: _PlanOptions
+                     track_lineage: bool, fuse: bool
                      ) -> tuple[Operator, list[str]]:
     """Plan the FROM/WHERE part, returning the source operator tree and
     the list of base tables it reads."""
@@ -704,15 +669,13 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
     if not select.sources:
         # SELECT without FROM: one empty row so literals evaluate once
         schema = Schema([])
-        from repro.db.executor import MaterializedSource
         root: Operator = MaterializedSource(
             schema, [((), frozenset())])
         if select.where is not None:
             root = Filter(root, select.where)
         return root, source_tables
 
-    fragments = [_plan_join_source(source, catalog, track_lineage,
-                                   options)
+    fragments = [_plan_join_source(source, catalog, track_lineage)
                  for source in select.sources]
     conjuncts = split_conjuncts(select.where)
 
@@ -726,15 +689,15 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
         if aliases is not None:
             if not aliases:
                 fragments[0].operator = _filtered(
-                    fragments[0].operator, conjunct, options)
+                    fragments[0].operator, conjunct, fuse)
                 placed = True
             else:
                 for fragment in fragments:
                     if aliases <= fragment.aliases:
                         if not _try_index_scan(fragment, conjunct,
-                                               track_lineage, options):
+                                               track_lineage):
                             fragment.operator = _filtered(
-                                fragment.operator, conjunct, options)
+                                fragment.operator, conjunct, fuse)
                         _apply_filter_estimate(fragment, conjunct)
                         placed = True
                         break
@@ -775,7 +738,7 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
         left_keys = [pair[0] for pair in chosen_equi]
         right_keys = [pair[1] for pair in chosen_equi]
         current = _make_hash_join(current, candidate, left_keys,
-                                  right_keys, "inner", None, options)
+                                  right_keys, "inner", None)
         # remove consumed equi conjuncts from the remaining list
         consumed = set()
         for left_key, right_key in chosen_equi:
@@ -791,7 +754,7 @@ def _plan_from_where(select: ast.Select, catalog: Catalog,
     root = current.operator
     residual = conjoin(remaining)
     if residual is not None:
-        root = _filtered(root, residual, options)
+        root = _filtered(root, residual, fuse)
     return root, source_tables
 
 
@@ -831,7 +794,7 @@ def _integer_key_range(conjunct: ast.Expression):
 
 
 def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
-                    track_lineage: bool, options: _PlanOptions) -> bool:
+                    track_lineage: bool) -> bool:
     """Turn a bare SeqScan plus a ``col = constant``,
     ``col IN (constants)`` or ``int_col BETWEEN lo AND hi`` conjunct
     into an IndexScan when a hash index covers the column. A range
@@ -850,8 +813,6 @@ def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
     operator = fragment.operator
     if not isinstance(operator, SeqScan):
         return False
-    scan_class = (vector.BatchIndexScan if options.batched
-                  else IndexScan)
     # (column, constant expression(s), integer key range)
     candidates = []
     if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
@@ -913,7 +874,7 @@ def _try_index_scan(fragment: _SourceSet, conjunct: ast.Expression,
                     f"{index.name} skipped: {probes} probes for "
                     f"{live_rows} rows, scan is cheaper")
                 return False
-        fragment.operator = scan_class(
+        fragment.operator = IndexScan(
             operator.table, operator.qualifier, index, constant,
             track_lineage, key_range=key_range)
         if fragment.est_rows is not None:
@@ -934,12 +895,10 @@ def plan_dml_access(table: HeapTable, where: Optional[ast.Expression],
     that won, if any, and the conjuncts it leaves to evaluate on the
     rows it (or, without one, the full scan) produces.
     """
-    options = _PlanOptions(batched=False, fuse=False)
-    fragment = _plan_table(ast.TableRef(table.name), catalog, False,
-                           options)
+    fragment = _plan_table(ast.TableRef(table.name), catalog, False)
     residual: list[ast.Expression] = []
     for conjunct in split_conjuncts(where):
-        if not _try_index_scan(fragment, conjunct, False, options):
+        if not _try_index_scan(fragment, conjunct, False):
             residual.append(conjunct)
         _apply_filter_estimate(fragment, conjunct)
     access = fragment.operator
@@ -981,14 +940,14 @@ def _try_gather(node: Operator,
     Two shapes qualify:
 
     * a Scan→Filter→Project chain (fused or not) rooted at ``node`` —
-      wrapped in :class:`repro.db.vector.BatchGather`, which runs one
+      wrapped in :class:`repro.db.vector.Gather`, which runs one
       clone of the chain per partition and merges batches back into
       exact serial row order;
-    * a :class:`repro.db.vector.BatchGroupAggregate` over such a chain
+    * a :class:`~repro.db.executor.GroupAggregate` over such a chain
       — when every aggregate merges exactly
       (:func:`repro.db.expressions.merge_exact_aggregate`) the whole
       aggregate goes partition-parallel via
-      :class:`repro.db.vector.BatchAggregateGather` (partial states
+      :class:`repro.db.vector.AggregateGather` (partial states
       merged at the gather); otherwise only the scan below it is
       parallelized and the fold stays serial, so float accumulation
       order — and therefore every emitted bit — matches the serial
@@ -997,7 +956,7 @@ def _try_gather(node: Operator,
     Either way the replacement is cost-gated: partition dispatch only
     pays off when the scan reads at least ``context.min_rows`` rows.
     """
-    if isinstance(node, vector.BatchGroupAggregate):
+    if isinstance(node, GroupAggregate):
         scan = vector.parallel_scan_leaf(node.child)
         if scan is None:
             return None
@@ -1005,32 +964,31 @@ def _try_gather(node: Operator,
             return None
         if all(exprs.merge_exact_aggregate(call, node.child.schema)
                for call in node.aggregate_calls):
-            return vector.BatchAggregateGather(node, scan, context)
-        node.child = vector.BatchGather(node.child, scan, context)
+            return vector.AggregateGather(node, scan, context)
+        node.child = vector.Gather(node.child, scan, context)
         return node
-    if (isinstance(node, vector.BatchLimit)
-            and type(node.child) is vector.BatchSort):
+    if isinstance(node, Limit) and type(node.child) is Sort:
         replacement = _try_parallel_sort(node.child, node, context)
         if replacement is None:
             return None
         node.child = replacement
         return node
-    if type(node) is vector.BatchSort:
+    if type(node) is Sort:
         return _try_parallel_sort(node, None, context)
-    if type(node) is vector.BatchHashJoin:
+    if type(node) is HashJoin:
         return _try_parallel_join(node, context)
     scan = vector.parallel_scan_leaf(node)
     if scan is None:
         return None
     if _parallel_input_rows(scan) < context.min_rows:
         return None
-    return vector.BatchGather(node, scan, context)
+    return vector.Gather(node, scan, context)
 
 
 def _try_parallel_sort(sort: Operator, limit: Operator | None,
                        context: parmod.ParallelContext):
-    """Replace an eligible ``BatchSort`` with a
-    :class:`repro.db.vector.BatchParallelSort`. Under ORDER BY ...
+    """Replace an eligible ``Sort`` with a
+    :class:`repro.db.vector.ParallelSort`. Under ORDER BY ...
     LIMIT the limit stays in the plan but ``offset + limit`` pushes
     down as top-k, so each worker ships at most that many rows."""
     scan = vector.parallel_scan_leaf(sort.child)
@@ -1041,8 +999,8 @@ def _try_parallel_sort(sort: Operator, limit: Operator | None,
     ship_limit = None
     if limit is not None and limit.limit is not None:
         ship_limit = limit.limit + limit.offset
-    return vector.BatchParallelSort(sort.child, scan, context,
-                                    sort.keys, ship_limit)
+    return vector.ParallelSort(sort.child, scan, context, sort.keys,
+                               ship_limit)
 
 
 def _join_key_partition_column(key, side: Operator, spec) -> bool:
@@ -1052,11 +1010,10 @@ def _join_key_partition_column(key, side: Operator, spec) -> bool:
     if not isinstance(key, ast.ColumnRef):
         return False
     node = side
-    while isinstance(node, (vector.FusedScanFilterProject,
-                            vector.BatchFilter, vector.BatchProject)):
-        if isinstance(node, vector.BatchProject):
+    while isinstance(node, (FusedScanFilterProject, Filter, Project)):
+        if isinstance(node, Project):
             return False  # projection re-shapes the side schema
-        if (isinstance(node, vector.FusedScanFilterProject)
+        if (isinstance(node, FusedScanFilterProject)
                 and node.projections is not None):
             return False
         node = node.child
@@ -1102,7 +1059,7 @@ def _try_parallel_join(join, context: parmod.ParallelContext):
     probe_scan = vector.parallel_scan_leaf(probe_side)
     if _parallel_input_rows(probe_scan) < context.min_rows:
         return None
-    return vector.BatchParallelHashJoin(join, context)
+    return vector.ParallelHashJoin(join, context)
 
 
 def parallelize_plan(root: Operator,
@@ -1161,16 +1118,15 @@ def plan_select(select: ast.Select, catalog: Catalog,
                 ) -> PlannedQuery:
     """Plan a SELECT statement into an executable operator tree.
 
-    Plans are vectorized (batch operators) whenever
-    :func:`repro.db.vector.vectorized_enabled` allows; ``fuse=False``
+    Scan→Filter→Project chains fuse into one
+    :class:`~repro.db.executor.FusedScanFilterProject`; ``fuse=False``
     keeps Scan/Filter/Project as separate nodes (EXPLAIN ANALYZE needs
     per-operator attribution). With a ``parallel`` context of more
     than one worker, eligible sub-plans are wrapped in partition-
     parallel Gather operators (:func:`parallelize_plan`).
     """
-    options = _plan_options(fuse)
     source, source_tables = _plan_from_where(select, catalog,
-                                             track_lineage, options)
+                                             track_lineage, fuse)
     items = _expand_stars(select, source.schema)
 
     output_expressions = [item.expression for item in items]
@@ -1207,41 +1163,28 @@ def plan_select(select: ast.Select, catalog: Catalog,
     full_schema = Schema(full_columns)
 
     if has_aggregates:
-        aggregate_class = (vector.BatchGroupAggregate if options.batched
-                           else GroupAggregate)
-        root: Operator = aggregate_class(
+        root: Operator = GroupAggregate(
             source, list(select.group_by), all_expressions,
             full_schema, select.having)
-    elif (options.fuse
-          and isinstance(source, vector.FusedScanFilterProject)
+    elif (fuse and isinstance(source, FusedScanFilterProject)
           and source.projections is None):
         source.absorb_projections(all_expressions, full_schema)
         root = source
-    elif options.fuse and isinstance(source, (vector.BatchSeqScan,
-                                              vector.BatchIndexScan)):
-        root = vector.FusedScanFilterProject(
-            source, None, all_expressions, full_schema)
-    elif options.batched:
-        root = vector.BatchProject(source, all_expressions, full_schema)
+    elif fuse and isinstance(source, (SeqScan, IndexScan)):
+        root = FusedScanFilterProject(source, None, all_expressions,
+                                      full_schema)
     else:
         root = Project(source, all_expressions, full_schema)
 
     if select.distinct:
-        distinct_class = (vector.BatchDistinct if options.batched
-                          else Distinct)
-        root = distinct_class(root, visible_width if hidden else None)
+        root = Distinct(root, visible_width if hidden else None)
     if sort_keys:
-        sort_class = vector.BatchSort if options.batched else Sort
-        root = sort_class(root, sort_keys)
+        root = Sort(root, sort_keys)
     if select.limit is not None or select.offset is not None:
-        limit_class = vector.BatchLimit if options.batched else Limit
-        root = limit_class(root, select.limit, select.offset)
+        root = Limit(root, select.limit, select.offset)
     if hidden:
-        strip_class = (vector.BatchStripColumns if options.batched
-                       else StripColumns)
-        root = strip_class(root, visible_width, visible_schema)
-    if (parallel is not None and parallel.workers > 1
-            and options.batched):
+        root = StripColumns(root, visible_width, visible_schema)
+    if parallel is not None and parallel.workers > 1:
         root = parallelize_plan(root, parallel)
     return PlannedQuery(root, visible_schema, source_tables)
 
@@ -1252,12 +1195,6 @@ def plan_setop(setop: ast.SetOp, catalog: Catalog,
                parallel: parmod.ParallelContext | None = None
                ) -> PlannedQuery:
     """Plan a UNION [ALL] chain into a Union (+ Distinct) operator."""
-    from repro.db.executor import Union as UnionOp
-
-    options = _plan_options(fuse)
-    DistinctOp = (vector.BatchDistinct if options.batched else Distinct)
-    union_class = vector.BatchUnion if options.batched else UnionOp
-
     branches: list[tuple[ast.Select, bool]] = []
 
     def flatten(node, all_rows: bool) -> None:
@@ -1275,12 +1212,12 @@ def plan_setop(setop: ast.SetOp, catalog: Catalog,
                            parallel)
                for select, _ in branches]
     first_schema = planned[0].schema
-    root: Operator = union_class([entry.root for entry in planned])
+    root: Operator = Union([entry.root for entry in planned])
     # SQL UNION (without ALL) applies set semantics to the whole chain;
     # a chain with any non-ALL link deduplicates (standard semantics
     # for a left-deep chain ending in UNION)
     if not setop.all:
-        root = DistinctOp(root)
+        root = Distinct(root)
         root.schema = first_schema  # type: ignore[assignment]
     source_tables: list[str] = []
     for entry in planned:

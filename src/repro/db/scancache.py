@@ -1,12 +1,12 @@
 """Columnar scan cache: data-versioned segments for the batch read path.
 
 Every batch scan used to pay the same tax per execution: walk the heap
-in rowid order, slice it into :data:`~repro.db.vector.BATCH_SIZE`
+in rowid order, slice it into :data:`~repro.db.executor.BATCH_SIZE`
 chunks, and transpose each chunk's row tuples into column vectors —
 even when the table had not changed since the previous statement. The
 cache here materializes that work once per table state into an
 immutable :class:`Segment` and replays the *same* prebuilt
-:class:`~repro.db.vector.RowBatch` objects on every subsequent scan.
+:class:`~repro.db.executor.RowBatch` objects on every subsequent scan.
 
 Keying and invalidation
 -----------------------
@@ -81,7 +81,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Iterator
 
-from repro.db import vector
+from repro.db import executor
 from repro.db.provtypes import lineage_singletons
 
 # Default residency budget, in cells (row × column slots, plus the
@@ -98,7 +98,7 @@ _CELL_BYTES = 8
 class Segment:
     """One immutable cached scan image: the committed-latest rows of a
     table (optionally restricted to an explicit rowid list) prechunked
-    into :class:`~repro.db.vector.RowBatch` objects.
+    into :class:`~repro.db.executor.RowBatch` objects.
 
     The base chunk data (row tuples, column vectors) is built once in
     ``__init__``; the four batch *variants* — with/without lineage
@@ -140,7 +140,7 @@ class Segment:
         every variant's batches reference."""
         width = self.width
         colsig = self.colsig
-        size = vector.BATCH_SIZE
+        size = executor.BATCH_SIZE
         chunks = []
         for start in range(0, self.count, size):
             chunk_rows = self.row_major[start:start + size]
@@ -167,7 +167,7 @@ class Segment:
 
     def _build_variant(self, track_lineage: bool,
                        with_rowids: bool) -> list:
-        size = vector.BATCH_SIZE
+        size = executor.BATCH_SIZE
         batches = []
         for number, (chunk_rows, columns) in enumerate(self._chunks):
             start = number * size
@@ -178,10 +178,10 @@ class Segment:
                     self.name,
                     list(zip(self.rowids[start:stop],
                              self.versions[start:stop])))
-                vector.note_lineage_vector_build()
+                executor.note_lineage_vector_build()
             chunk_ids = (self.rowids[start:stop] if with_rowids
                          else None)
-            batches.append(vector.RowBatch(
+            batches.append(executor.RowBatch(
                 columns, len(chunk_rows), lineages, None, chunk_rows,
                 chunk_ids))
         return batches
@@ -332,7 +332,7 @@ class ScanCache:
                 continue
             index = positions[rowid]
             resolved.append((rowid, row_major[index], versions[index]))
-        size = vector.BATCH_SIZE
+        size = executor.BATCH_SIZE
         name = segment.name
         batches = []
         for start in range(0, len(resolved), size):
@@ -344,8 +344,8 @@ class ScanCache:
                 lineages = lineage_singletons(
                     name, [(rowid, version)
                            for rowid, _, version in chunk])
-                vector.note_lineage_vector_build()
-            batches.append(vector.RowBatch(
+                executor.note_lineage_vector_build()
+            batches.append(executor.RowBatch(
                 columns, len(chunk), lineages, None, chunk_rows))
         return batches
 

@@ -268,6 +268,19 @@ class HeapTable:
         self._partition_remove(rowid, row)
         self._note_mutation()
 
+    def revert_update(self, rowid: int, values: tuple, version: int,
+                      tick: int) -> None:
+        """Undo :meth:`update` ``(rowid, ..., tick)`` of a statement
+        that failed later on: the replaced ``values``/``version`` come
+        back, and so does every index entry; the history entry the
+        update retained for open snapshots is dropped again."""
+        chain = self.history.get(rowid)
+        if chain and chain[-1] == (version, tick, values):
+            chain.pop()
+            if not chain:
+                del self.history[rowid]
+        self.put_row(rowid, values, version)
+
     def put_row(self, rowid: int, values: Iterable[Any],
                 version: int) -> None:
         """Idempotently install a row at an explicit rowid/version.

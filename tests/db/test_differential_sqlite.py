@@ -31,6 +31,21 @@ DELETE families runs twice: in autocommit, and inside
 the MVCC-view path of the index probe; there the state is compared
 before and after COMMIT.
 
+Every family without LIMIT also runs with ``provenance=True``. Its
+expected lineage comes from sqlite by a Perm-style rewrite: the same
+FROM/WHERE, selecting each source table's ``rowid`` (heap rowids start
+at 1 in insertion order, as sqlite's do), unioned per output row, per
+group or per DISTINCT value; the NULL right side of an unmatched LEFT
+JOIN row contributes nothing. The compared value is the multiset of
+``(row, {(table, rowid)})``.
+
+A fixed family replays the 23 parity queries and the provenance
+queries of ``tests/db/test_vectorized.py`` over that module's data
+set: rows under the rules above, and lineage unless a LIMIT has no
+ORDER BY to say which rows it keeps.
+One of them orders a nullable column under LIMIT, so its sqlite form
+says ``NULLS LAST``, which is this engine's order.
+
 CI pins ``SEED_COUNT`` seeds; ``pytest --seeds N`` widens or narrows
 the sweep locally without touching the code.
 """
@@ -38,11 +53,13 @@ the sweep locally without touching the code.
 from __future__ import annotations
 
 import random
+import re
 import sqlite3
 
 import pytest
 
 from repro.db import Database
+from tests.db.test_vectorized import PARITY_QUERIES, PROVENANCE_QUERIES
 
 pytestmark = pytest.mark.differential
 
@@ -357,6 +374,181 @@ def test_differential_dml(oracle_seed):
         if in_txn:
             database.execute("COMMIT")
             _assert_same_state(database, connection, f"at COMMIT {where}")
+
+
+# -- the lineage oracle -------------------------------------------------------
+
+_SELECT_SHAPE = re.compile(
+    r"^SELECT (?P<distinct>DISTINCT )?(?P<items>.+?) FROM (?P<sources>.+?)"
+    r"(?: WHERE (?P<where>.+?))?(?: GROUP BY (?P<group>.+?))?"
+    r"(?: HAVING .+?)?(?P<order> ORDER BY .+?)?$")
+_AGGREGATE_CALL = re.compile(r"\b(count|sum|min|max|avg)\(")
+
+
+def _source_aliases(sources):
+    """``[(table, alias)]`` of a FROM clause of the grammars here:
+    comma lists and ``[LEFT] JOIN ... ON`` chains."""
+    pairs = []
+    for part in re.split(r",|\bLEFT JOIN\b|\bJOIN\b", sources):
+        words = part.split(" ON ")[0].split()
+        pairs.append((words[0], words[-1]))
+    return pairs
+
+
+def _lineage_pairs(connection, sql):
+    """``(row, {(table, rowid)})`` pairs of one SELECT, from sqlite.
+
+    The rewrite keeps FROM/WHERE and selects every source's rowid
+    next to the select list (the group key under GROUP BY). Plain
+    rows keep their ORDER BY/LIMIT, so a LIMIT over a total order
+    picks the same rows; aggregates pair sqlite's own answer rows
+    with the union over their group (keyed by the leading column),
+    DISTINCT the union over each value."""
+    shape = _SELECT_SHAPE.match(sql)
+    assert shape is not None, sql
+    sources = _source_aliases(shape["sources"])
+    rowids = ", ".join(f"{alias}.rowid" for _, alias in sources)
+    where = f" WHERE {shape['where']}" if shape["where"] else ""
+    group = shape["group"]
+    aggregated = group is not None or bool(
+        _AGGREGATE_CALL.search(shape["items"]))
+    tail = "" if aggregated or shape["distinct"] else shape["order"] or ""
+    # a global aggregate's base rows carry nothing but their rowids
+    select_list = group or ("NULL" if aggregated else shape["items"])
+    base = connection.execute(
+        f"SELECT {select_list}, {rowids} "
+        f"FROM {shape['sources']}{where}{tail}").fetchall()
+    width = len(sources)
+
+    def split(row):
+        refs = {(table, rowid) for (table, _), rowid
+                in zip(sources, row[-width:]) if rowid is not None}
+        return tuple(row[:-width]), refs
+
+    if not aggregated and not shape["distinct"]:
+        return [split(row) for row in base]
+    unions = {}
+    for row in base:
+        values, refs = split(row)
+        unions.setdefault(values if group or not aggregated else (),
+                          set()).update(refs)
+    if not aggregated:
+        return list(unions.items())
+    assert group is None or shape["items"].startswith(group), sql
+    return [(row, unions.get((row[0],) if group else (), set()))
+            for row in connection.execute(sql).fetchall()]
+
+
+def canonical_lineage(pairs):
+    """A multiset of ``(row, {(table, rowid)})`` in comparable form."""
+    return sorted(repr((tuple(row), sorted(refs))) for row, refs in pairs)
+
+
+def expected_lineage(connection, sql):
+    """sqlite's Perm-style lineage of ``sql``; a ``UNION`` (without
+    ALL) unions the branches' lineage per distinct row."""
+    if " UNION " not in sql:
+        return canonical_lineage(_lineage_pairs(connection, sql))
+    assert " UNION ALL " not in sql, sql
+    unions = {}
+    for branch in sql.split(" UNION "):
+        for values, refs in _lineage_pairs(connection, branch):
+            unions.setdefault(values, set()).update(refs)
+    return canonical_lineage(unions.items())
+
+
+def engine_lineage(database, sql):
+    result = database.execute(sql, True)
+    return canonical_lineage(
+        (row, {(ref.table, ref.rowid) for ref in lineage})
+        for row, lineage in zip(result.rows, result.lineages))
+
+
+def test_differential_lineage(oracle_seed):
+    """Every SELECT family without LIMIT, under provenance: the
+    engine's lineage equals sqlite's Perm-style rewrite, inside the
+    transaction for the transactional families."""
+    rng, database, connection = build_engines(oracle_seed)
+    for case in range(QUERIES_PER_SEED):
+        sql, _ordered = generate_query(rng, case)
+        in_txn = case in TXN_QUERY_FAMILIES
+        if in_txn:
+            _begin(database, connection, _txn_prelude(rng))
+        if " LIMIT " not in sql:
+            assert (engine_lineage(database, sql)
+                    == expected_lineage(connection, sql)), (
+                f"seed {oracle_seed}, family {case}: lineage diverges "
+                f"on\n  {sql}")
+        if in_txn:
+            database.execute("COMMIT")
+
+
+# sqlite sorts NULL first ascending; this engine sorts it last
+PARITY_SQLITE_FORMS = {
+    "SELECT b FROM t ORDER BY b LIMIT 25 OFFSET 3":
+        "SELECT b FROM t ORDER BY b NULLS LAST LIMIT 25 OFFSET 3",
+}
+
+
+@pytest.fixture(scope="module")
+def parity_engines():
+    """The parity data set of ``tests/db/test_vectorized.py``, copied
+    row by row in rowid order into sqlite (so rowids agree)."""
+    # deferred: that module imports this one's grammar
+    from tests.db.test_differential_parallel import build_parity_db
+    database = build_parity_db(False)
+    connection = sqlite3.connect(":memory:")
+    for table in ("t", "small"):
+        result = database.execute(f"SELECT * FROM {table}")
+        ddl = ", ".join(f"{column.name} {column.sql_type.value}"
+                        for column in result.schema.columns)
+        connection.execute(f"CREATE TABLE {table} ({ddl})")
+        placeholders = ", ".join("?" for _ in result.schema.columns)
+        connection.executemany(
+            f"INSERT INTO {table} VALUES ({placeholders})", result.rows)
+    return database, connection
+
+
+# a LIMIT (or ORDER BY) after a UNION binds to the last branch only
+# in this engine; SQL, and sqlite, apply it to the whole compound
+TRAILING_LIMIT_ON_UNION = (
+    "SELECT grp FROM t UNION ALL SELECT k FROM small LIMIT 9")
+
+
+@pytest.mark.parametrize("sql", [
+    pytest.param(sql, marks=pytest.mark.xfail(
+        strict=True, reason="LIMIT after UNION binds to the last branch"))
+    if sql == TRAILING_LIMIT_ON_UNION else sql
+    for sql in dict.fromkeys(PARITY_QUERIES + PROVENANCE_QUERIES)])
+def test_parity_queries_match_sqlite(parity_engines, sql):
+    """Rows compare as in :func:`test_differential_oracle` (lists
+    under ORDER BY, which every parity ORDER BY makes total), lineage
+    wherever a LIMIT has an ORDER BY to say which rows it keeps."""
+    database, connection = parity_engines
+    reference_sql = PARITY_SQLITE_FORMS.get(sql, sql)
+    ordered = " ORDER BY " in sql
+    mine = database.query(sql)
+    reference = connection.execute(reference_sql).fetchall()
+    assert canonical(mine, ordered) == canonical(reference, ordered)
+    if " LIMIT " not in sql or ordered:
+        assert (engine_lineage(database, sql)
+                == expected_lineage(connection, reference_sql))
+
+
+def test_oracle_catches_a_seeded_lineage_divergence(parity_engines):
+    """Sanity: a join that drops one side's lineage must fail the
+    lineage comparison, although its rows are right."""
+    database, connection = parity_engines
+    sql = ("SELECT t.k, small.label FROM t, small "
+           "WHERE t.k = small.k AND t.a < 70")
+    result = database.execute(sql, True)
+    dropped = canonical_lineage(
+        (row, {(ref.table, ref.rowid) for ref in lineage
+               if ref.table != "small"})
+        for row, lineage in zip(result.rows, result.lineages))
+    assert engine_lineage(database, sql) == expected_lineage(connection,
+                                                             sql)
+    assert dropped != expected_lineage(connection, sql)
 
 
 def test_range_families_reach_the_index_probe():

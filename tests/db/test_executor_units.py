@@ -1,8 +1,14 @@
-"""Operator-level unit tests (executor classes in isolation)."""
+"""Operator-level unit tests (executor classes in isolation).
+
+Most tests read operators through the row adapter
+(``Operator.__iter__``); the ``batches()`` tests pin the batch stream
+itself for the operators that build their batches from rows.
+"""
 
 import pytest
 
 from repro.db.executor import (
+    BATCH_SIZE,
     Distinct,
     Filter,
     GroupAggregate,
@@ -38,6 +44,16 @@ def rows_of(operator):
 
 def lineages_of(operator):
     return [lineage for _values, lineage in operator]
+
+
+def drained(operator):
+    """``(values, lineage)`` pairs read from ``batches()`` directly,
+    plus the batch sizes."""
+    pairs, sizes = [], []
+    for batch in operator.batches():
+        sizes.append(len(batch))
+        pairs.extend(zip(batch.rows(), batch.picked_lineages()))
+    return pairs, sizes
 
 
 class TestSeqScan:
@@ -242,3 +258,72 @@ class TestUnionOperator:
     def test_empty_union_rejected(self):
         with pytest.raises(ExecutionError):
             Union([])
+
+
+class TestRowBuiltBatches:
+    """NestedLoopJoin and MaterializedSource assemble their batches
+    from rows; ``batches()`` and the row adapter must agree."""
+
+    def make_sides(self):
+        left = SeqScan(make_table("l"), "l", True)
+        right = SeqScan(make_table(
+            "r", rows=((2, "x"), (3, "y"), (9, "z"))), "r", True)
+        return left, right
+
+    def test_nested_loop_inner_batches(self):
+        left, right = self.make_sides()
+        join = NestedLoopJoin(left, right, parse_expression("l.k < r.k"))
+        pairs, sizes = drained(join)
+        assert sizes == [6]
+        assert [values for values, _ in pairs] == [
+            (1, "a", 2, "x"), (1, "a", 3, "y"), (1, "a", 9, "z"),
+            (2, "b", 3, "y"), (2, "b", 9, "z"), (3, "a", 9, "z")]
+        assert pairs[0][1] == frozenset({TupleRef("l", 1, 1),
+                                         TupleRef("r", 1, 1)})
+        assert list(join) == pairs
+
+    def test_nested_loop_left_batches_pad_unmatched_rows(self):
+        left, right = self.make_sides()
+        join = NestedLoopJoin(left, right,
+                              parse_expression("l.k = r.k + 5"), "left")
+        pairs, sizes = drained(join)
+        assert sizes == [3]
+        assert pairs == [
+            ((1, "a", None, None), frozenset({TupleRef("l", 1, 1)})),
+            ((2, "b", None, None), frozenset({TupleRef("l", 2, 1)})),
+            ((3, "a", None, None), frozenset({TupleRef("l", 3, 1)}))]
+        assert list(join) == pairs
+
+    def test_nested_loop_cross_batches(self):
+        left, right = self.make_sides()
+        join = NestedLoopJoin(left, right, None, "cross")
+        pairs, sizes = drained(join)
+        assert sizes == [9]
+        assert [values[0] for values, _ in pairs] == [1, 1, 1, 2, 2, 2,
+                                                      3, 3, 3]
+        assert all(len(lineage) == 2 for _, lineage in pairs)
+        assert list(join) == pairs
+
+    def test_nested_loop_without_lineage_has_no_annotations(self):
+        left = SeqScan(make_table("l"), "l", False)
+        right = SeqScan(make_table("r"), "r", False)
+        join = NestedLoopJoin(left, right, None, "cross")
+        assert all(batch.lineages is None for batch in join.batches())
+        assert lineages_of(join) == [frozenset()] * 9
+
+    def test_materialized_source_batches(self):
+        schema = Schema([Column("x", SQLType.INTEGER)])
+        rows = [((n,), frozenset({TupleRef("t", n, 1)}))
+                for n in range(BATCH_SIZE + 5)]
+        source = MaterializedSource(schema, rows)
+        pairs, sizes = drained(source)
+        assert sizes == [BATCH_SIZE, 5]
+        assert pairs == rows
+        assert list(source) == rows
+
+    def test_materialized_source_without_lineage(self):
+        source = MaterializedSource(Schema([]), [((), frozenset())])
+        batches = list(source.batches())
+        assert [len(batch) for batch in batches] == [1]
+        assert batches[0].lineages is None
+        assert list(source) == [((), frozenset())]

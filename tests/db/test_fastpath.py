@@ -17,6 +17,7 @@ from repro.db.engine import Database, PlanCache
 from repro.db.server import DBServer
 from repro.db.sql.parser import parse_sql
 from repro.db.sql.render import render_statement
+from tests.db.expression_oracle import assert_expressions_match_reference
 
 
 def make_db() -> Database:
@@ -57,14 +58,13 @@ PARITY_QUERIES = [
 
 class TestCompiledParity:
     """The compiled path is an optimization, not a semantics change:
-    every query must return byte-identical rows to the interpreter."""
+    every expression of these queries, compiled to row closures and
+    to batch kernels, must agree with the interpreting ``Evaluator``
+    on every fixture row (see ``tests/db/expression_oracle.py``)."""
 
     @pytest.mark.parametrize("sql", PARITY_QUERIES)
     def test_compiled_matches_interpreted(self, sql):
-        compiled = make_db().query(sql)
-        with exprs.interpreted_expressions():
-            interpreted = make_db().query(sql)
-        assert compiled == interpreted
+        assert_expressions_match_reference(make_db(), sql)
 
     def test_null_three_valued_logic(self):
         db = make_db()

@@ -1,11 +1,10 @@
 """Planner tests: pushdown, join strategy selection, star expansion,
 ORDER BY handling, and output-type inference.
 
-The planner emits *batch* operator classes by default, each a subclass
-of its row twin (``BatchSort`` is a ``Sort``), and fuses
-Scan→Filter→Project chains into ``FusedScanFilterProject`` — shape
-assertions below use isinstance / :func:`has_filter` so they hold for
-both engines.
+The planner fuses Scan→Filter→Project chains into
+``FusedScanFilterProject`` unless asked not to (EXPLAIN ANALYZE plans
+unfused) — shape assertions below use :func:`has_filter` and
+:func:`has_projection` so they hold for both plan shapes.
 """
 
 import pytest
@@ -14,6 +13,7 @@ from repro.db import Database
 from repro.db.catalog import Catalog
 from repro.db.executor import (
     Filter,
+    FusedScanFilterProject,
     GroupAggregate,
     HashJoin,
     IndexScan,
@@ -32,7 +32,6 @@ from repro.db.planner import (
 )
 from repro.db.sql.parser import parse_expression, parse_one
 from repro.db.types import SQLType
-from repro.db.vector import FusedScanFilterProject, row_at_a_time_plans
 from repro.errors import ExecutionError
 
 
@@ -222,9 +221,10 @@ class TestVectorizedPlanning:
         assert fused[0].projections is not None
         assert [row for row, _lin in planned.root] == [(3,)]
 
-    def test_row_mode_emits_classic_operators(self, db):
-        with row_at_a_time_plans():
-            planned = plan(db, "SELECT x + 1 FROM a WHERE x > 1 ORDER BY 1")
+    def test_unfused_plan_emits_one_operator_per_step(self, db):
+        planned = plan_select(
+            parse_one("SELECT x + 1 FROM a WHERE x > 1 ORDER BY 1"),
+            db.catalog, fuse=False)
         kinds = [type(op) for op in operators_in(planned.root)]
         assert Sort in kinds
         assert Project in kinds

@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db import Database, DBServer
-from repro.db import parallel, vector
+from repro.db import executor, parallel
 from repro.db.chaos import tree_bytes
 from repro.db.protocol import encode_frame, result_to_wire
 from repro.db.scancache import ScanCache
@@ -461,10 +461,10 @@ class TestLineageAllocation:
         database.execute("CREATE TABLE t (k integer)")
         database.execute("INSERT INTO t VALUES " + ", ".join(
             f"({k})" for k in range(3000)))
-        before = vector.LINEAGE_VECTOR_BUILDS
+        before = executor.LINEAGE_VECTOR_BUILDS
         for _ in range(3):
             database.query("SELECT k FROM t WHERE k % 2 = 0")
-        assert vector.LINEAGE_VECTOR_BUILDS == before
+        assert executor.LINEAGE_VECTOR_BUILDS == before
 
     def test_cached_segments_allocate_once_not_per_scan(self):
         database = Database()
@@ -475,16 +475,16 @@ class TestLineageAllocation:
         # uncached: every provenance scan rebuilds its lineage vectors
         database.scan_cache.enabled = False
         try:
-            start = vector.LINEAGE_VECTOR_BUILDS
+            start = executor.LINEAGE_VECTOR_BUILDS
             uncached_results = [database.execute(sql, True) for _ in range(2)]
-            per_scan = (vector.LINEAGE_VECTOR_BUILDS - start) // 2
+            per_scan = (executor.LINEAGE_VECTOR_BUILDS - start) // 2
             assert per_scan == 3
         finally:
             database.scan_cache.enabled = True
         # cached: the segment's lineage variant is built exactly once
-        start = vector.LINEAGE_VECTOR_BUILDS
+        start = executor.LINEAGE_VECTOR_BUILDS
         cached_results = [database.execute(sql, True) for _ in range(3)]
-        assert vector.LINEAGE_VECTOR_BUILDS - start == per_scan
+        assert executor.LINEAGE_VECTOR_BUILDS - start == per_scan
         for result in cached_results:
             assert result.rows == uncached_results[0].rows
             assert result.lineages == uncached_results[0].lineages

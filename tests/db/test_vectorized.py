@@ -1,32 +1,27 @@
-"""Vectorized engine: RowBatch mechanics, batch/row parity, and
+"""Vectorized engine: RowBatch mechanics, pinned answers, and
 provenance byte-identity.
 
-The batch pipeline must be invisible: every query answers with the
-same rows, the same lineage sets, and the same bytes on the wire as
-the tuple-at-a-time engine running interpreted expressions. The parity
-helpers here run each statement twice — once vectorized (the default)
-and once under ``row_at_a_time_plans()`` + ``interpreted_expressions()``
-— clearing the plan cache in between so neither mode sees the other's
-plans.
+The batch operators are the engine's only operator family. Every
+query here answers with the same rows, the same lineage sets and the
+same bytes on the wire as the retired tuple-at-a-time engine did:
+those answers are pinned as digests of the encoded result frame.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.db import Database
-from repro.db.expressions import interpreted_expressions
+from repro.db.executor import BATCH_SIZE, RowBatch
 from repro.db.protocol import encode_frame, result_to_wire
 from repro.db.provtypes import EMPTY_LINEAGE, TupleRef
-from repro.db.vector import (
-    BATCH_SIZE,
-    RowBatch,
-    row_at_a_time_plans,
-    vectorized_enabled,
-)
+from repro.errors import ExecutionError
 from repro.workloads.halos import build_world
 from repro.workloads.tpch.dbgen import TPCHConfig, TPCHGenerator
 from repro.workloads.tpch.queries import q1_sql, q3_sql, q4_sql
+from tests.db.expression_oracle import assert_expressions_match_reference
 
 
 # -- RowBatch mechanics -------------------------------------------------------
@@ -66,25 +61,26 @@ class TestRowBatch:
 
 
 # -- batch/row parity ---------------------------------------------------------
+#
+# The row-at-a-time engine, running interpreted expressions, was the
+# reference these queries were compared against byte for byte; it is
+# deleted, and its answers stay here as sha256 digests of the encoded
+# result frame (recorded while both engines agreed, and stable across
+# processes and hash seeds). The expression-level half of that
+# reference lives on in ``tests/db/expression_oracle.py``; rows and
+# lineage are refereed by sqlite in ``test_differential_sqlite.py``.
 
-def run_both_modes(database, sql, provenance=False):
-    """Execute once vectorized, once row-at-a-time interpreted."""
-    database.plan_cache.clear()
-    assert vectorized_enabled()
-    vectorized = database.execute(sql, provenance)
-    database.plan_cache.clear()
-    with row_at_a_time_plans(), interpreted_expressions():
-        assert not vectorized_enabled()
-        interpreted = database.execute(sql, provenance)
-    database.plan_cache.clear()
-    return vectorized, interpreted
+def wire_digest(result):
+    return hashlib.sha256(
+        encode_frame(result_to_wire(result)).encode()).hexdigest()
 
 
-def assert_wire_identical(vectorized, interpreted):
-    assert vectorized.rows == interpreted.rows
-    assert vectorized.lineages == interpreted.lineages
-    assert (encode_frame(result_to_wire(vectorized))
-            == encode_frame(result_to_wire(interpreted)))
+def run_fresh(database, sql, provenance=False):
+    """Execute with a freshly planned tree (no plan-cache hit)."""
+    database.plan_cache.clear()
+    result = database.execute(sql, provenance)
+    database.plan_cache.clear()
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -136,71 +132,104 @@ PARITY_QUERIES = [
     "SELECT grp FROM t UNION ALL SELECT k FROM small LIMIT 9",
     "SELECT k FROM t WHERE 1 = 0",
 ]
+# one per PARITY_QUERIES entry, in order
+PARITY_DIGESTS = [
+    "1ff539165d6610923fdc033645a7fa39524621765a9f95cc520640972c731ad7",
+    "9572187ed2062c04fe42c37b265585d194d46c5e82027f188b08b9b3455cd68c",
+    "cdd647067ae2d7b7a4804f7ae67db8fdf9ec2704d1b2e1875ab4c8f44077e99a",
+    "8346bd01a5a106a4195db2cc2eddce06580b4a87f066d41c918d26b16b7e3d31",
+    "6a5418e947fc2e122d4f1a4a1204b41a9ca505ecc5b13180d121c8bf4f7dddc9",
+    "6ecce95fd4fe9012ba01c8958beb0a5ca598c0e241db757f135b84c360240b0c",
+    "da54a820d1e756d24221bfae3b78f2fcea6b7aee96db41510993faa4841efa13",
+    "da54a820d1e756d24221bfae3b78f2fcea6b7aee96db41510993faa4841efa13",
+    "8698d8698b8234ac7a8ce013e404793f51a5c18b1ba5071f3776f5cb9861a0b6",
+    "b6f92c8edc9df584c229a903dce4ce79bff83f430ce9256101b1f675406717c1",
+    "5a66dada4e860d78ac9ae52d95e1d9938158132f02e34a1b0b0a3d9984e1d65c",
+    "47b06e2204480974463264ebd50a796fda4701ff45d3a9f016147dbde2355190",
+    "bfd524753b145c07ae6c9f1764f42a4ce798cf43884772220df54a3956adc26a",
+    "efbc6057795636ed943fa20933b98cc5e3d4c04a0d200bee4ee3ddcc421e561d",
+    "5dd97ce662c1ac5ec6a9edee1d460ca19c5550f74504d851dc9ee025b90067a9",
+    "b6d088f84e47de9a9c0e942027c8e9c3237b495be0897f3863fcda90f7cfae1f",
+    "22d18abb77ed2d7eb34b76ce682468627ea2a531020c11d4b29eb30e42c20c43",
+    "5174e60952cda531c4917d4b81cbdc95d802c144e7288e02b86d4c89cf3f40a6",
+    "37d577576d533f93471716658bcfa1b3f5dee18ef550e70617394288110f52c1",
+    "04f6322ae1bcb6cf2010daa025bb278cf97a3f1a75be1adda19b73e3125c6608",
+    "66ff19acf872d07c0daf419281e43fa5626ab9362d9749f57670d9ca40f9e3ec",
+    "b06e4be2b3f2f4951b92b090755ec7a8cc71c6354cb408ea9498339f15b21282",
+    "45b39e38cc3bd412deef6225124d4eec27d18f807bfef60c7d1c414b4f4132b5",
+]
 
 
-@pytest.mark.parametrize("sql", PARITY_QUERIES)
-def test_batch_row_parity(parity_db, sql):
-    vectorized, interpreted = run_both_modes(parity_db, sql)
-    assert_wire_identical(vectorized, interpreted)
-
-
-@pytest.mark.parametrize("sql", [
+PROVENANCE_QUERIES = [
     "SELECT k, a FROM t WHERE a < 30",
     "SELECT t.k, small.label FROM t, small WHERE t.k = small.k",
     "SELECT grp, count(*), sum(a) FROM t WHERE a < 80 GROUP BY grp",
     "SELECT DISTINCT grp FROM t WHERE b IS NOT NULL",
     "SELECT k, a FROM t ORDER BY a, k LIMIT 40",
-])
+]
+# one per PROVENANCE_QUERIES entry, in order
+PROVENANCE_DIGESTS = [
+    "c70cba3be0a820812641fe7072a55bbfedecad327ae3a1ced0258e9f0d93bef2",
+    "ea724028935fa2919f944336e8899194d577e6d18da40eb0baa60682e06d5a59",
+    "3a4871b387af94043b5dc006acf5de6dc2f9fa7890f401949e59b1c045f9e696",
+    "c50cc1f2098d9cb7d069558054c7668a000725f8c9fb091abf9a69b51732bdad",
+    "c7a0a5fe48a3a98df57512f7cf5ec157d4c1db7a59afdfff89b3fc58d78be209",
+]
+
+
+@pytest.mark.parametrize("sql", PARITY_QUERIES)
+def test_batch_row_parity(parity_db, sql):
+    digest = dict(zip(PARITY_QUERIES, PARITY_DIGESTS))[sql]
+    assert wire_digest(run_fresh(parity_db, sql)) == digest
+
+
+@pytest.mark.parametrize("sql", PARITY_QUERIES)
+def test_expressions_match_the_interpreter(parity_db, sql):
+    assert_expressions_match_reference(parity_db, sql)
+
+
+@pytest.mark.parametrize("sql", PROVENANCE_QUERIES)
 def test_batch_row_parity_with_provenance(parity_db, sql):
-    vectorized, interpreted = run_both_modes(parity_db, sql,
-                                             provenance=True)
-    assert any(vectorized.lineages) or "1 = 0" in sql
-    assert_wire_identical(vectorized, interpreted)
+    digest = dict(zip(PROVENANCE_QUERIES, PROVENANCE_DIGESTS))[sql]
+    result = run_fresh(parity_db, sql, provenance=True)
+    assert any(result.lineages)
+    assert wire_digest(result) == digest
 
 
 def test_error_parity_on_bad_comparison(parity_db):
-    def failure(mode_runner):
-        parity_db.plan_cache.clear()
-        with pytest.raises(Exception) as info:
-            with mode_runner():
-                parity_db.execute("SELECT k FROM t WHERE name > 5")
-        parity_db.plan_cache.clear()
-        return type(info.value), str(info.value)
-
-    from contextlib import nullcontext
-    assert failure(nullcontext) == failure(row_at_a_time_plans)
+    parity_db.plan_cache.clear()
+    with pytest.raises(ExecutionError) as info:
+        parity_db.execute("SELECT k FROM t WHERE name > 5")
+    parity_db.plan_cache.clear()
+    assert type(info.value) is ExecutionError
+    assert str(info.value) == "cannot compare 'name1' and 5"
 
 
 def test_mixed_type_sort_fails_identically(parity_db):
     sql = ("SELECT CASE WHEN k % 2 = 0 THEN name ELSE k END AS v "
            "FROM t WHERE k < 10 ORDER BY v")
-    outcomes = []
-    for mode in (None, "rows"):
-        parity_db.plan_cache.clear()
-        try:
-            if mode is None:
-                parity_db.execute(sql)
-            else:
-                with row_at_a_time_plans(), interpreted_expressions():
-                    parity_db.execute(sql)
-            outcomes.append("ok")
-        except Exception as exc:
-            outcomes.append(type(exc).__name__)
     parity_db.plan_cache.clear()
-    assert outcomes[0] == outcomes[1]
+    with pytest.raises(TypeError) as info:
+        parity_db.execute(sql)
+    parity_db.plan_cache.clear()
+    assert type(info.value) is TypeError
+    assert str(info.value) == (
+        "'<' not supported between instances of 'str' and 'int'")
 
 
-def test_multi_batch_inputs_chunk_and_reassemble(parity_db):
+def test_multi_batch_inputs_chunk_and_reassemble():
     """700 rows with BATCH_SIZE 1024 is one batch; force several."""
     database = Database()
     database.execute("CREATE TABLE wide (n integer)")
     count = BATCH_SIZE * 2 + 17
     database.execute("INSERT INTO wide VALUES " + ", ".join(
         f"({n})" for n in range(count)))
-    vectorized, interpreted = run_both_modes(
+    result = run_fresh(
         database, "SELECT n FROM wide WHERE n % 10 < 3 ORDER BY n DESC")
-    assert_wire_identical(vectorized, interpreted)
-    assert len(vectorized.rows) > BATCH_SIZE // 2
+    assert result.rows == [(n,) for n in reversed(range(count))
+                           if n % 10 < 3]
+    assert wire_digest(result) == (
+        "0721d465ec3b2e0bbac31ad7ab453835990ef1a35d3bbfd417750964e3520abc")
 
 
 # -- provenance byte-identity on real workloads -------------------------------
@@ -220,11 +249,11 @@ def test_halos_matcher_provenance_identical():
             f"({halo_id}, {halo_id % 20}, {(halo_id * 3) % 20}, "
             f"{3 + halo_id})"
             for halo_id in range(1, 15)))
-    vectorized, interpreted = run_both_modes(
-        database, HALOS_MATCHER_SQL, provenance=True)
-    assert vectorized.rows  # the join actually matched something
-    assert all(lineage for lineage in vectorized.lineages)
-    assert_wire_identical(vectorized, interpreted)
+    result = run_fresh(database, HALOS_MATCHER_SQL, provenance=True)
+    assert result.rows  # the join actually matched something
+    assert all(lineage for lineage in result.lineages)
+    assert wire_digest(result) == (
+        "fc683d867d8ec511f3f650dc5b8f8915bc65dbf5b127623f3a11edb621b4de29")
 
 
 @pytest.fixture(scope="module")
@@ -234,16 +263,21 @@ def tpch_db():
     return database
 
 
-@pytest.mark.parametrize("sql", [
-    q1_sql(25),
-    q3_sql(6),
-    q4_sql(10),
-])
+TPCH_DIGESTS = {
+    q1_sql(25):
+        "09d9e1665c7e76f807c093f20e969db6d15686df42a3c7166e2bf5ea377cd0fa",
+    q3_sql(6):
+        "c0d4758da84daf1e269b0a47d2895cfd74b96f63fd5deb0882de819d29cf12e2",
+    q4_sql(10):
+        "a67a9aca0e8a104803de30888e02c0adf1641a9a118eae1ef8861077882f6f70",
+}
+
+
+@pytest.mark.parametrize("sql", list(TPCH_DIGESTS))
 def test_tpch_provenance_identical(tpch_db, sql):
-    vectorized, interpreted = run_both_modes(tpch_db, sql,
-                                             provenance=True)
-    assert vectorized.rows
-    assert_wire_identical(vectorized, interpreted)
+    result = run_fresh(tpch_db, sql, provenance=True)
+    assert result.rows
+    assert wire_digest(result) == TPCH_DIGESTS[sql]
 
 
 # -- EXPLAIN integration ------------------------------------------------------
